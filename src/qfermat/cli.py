@@ -57,7 +57,6 @@ class RunConfig:
     cohomology: bool = False
     word: Optional[str] = None
     emit: str = "json"
-    threads: int = 1
 
 
 class _CliError(Exception):
@@ -176,11 +175,11 @@ def _parse_word(text: str) -> Tuple[int, ...]:
 
 def _cmd_classify(config: RunConfig):
     actions = _parse_actions(config.actions)
-    report = qmatrix.classify(threads=config.threads)
+    report = qmatrix.classify()
     payload = report.to_json()
     artifacts = []
     if config.actions is not None and actions != set(_ACTION_NAMES):
-        mats = qmatrix.enumerate_generic(config.threads)
+        mats = qmatrix.enumerate_generic()
         orbits = qmatrix._partition(mats, actions)
         reps = sorted(qmatrix.QMatrix([min(o)[5 * i:5 * i + 5] for i in range(5)])
                       for o in orbits)
@@ -213,7 +212,7 @@ def _cmd_verify(config: RunConfig):
     table = _load_table(config.table_path)
     report = structure.verify_associativity(
         table, config.mode, seed=config.seed,
-        budget_seconds=config.budget_seconds, threads=config.threads)
+        budget_seconds=config.budget_seconds)
     return report.to_json(), 0 if report.ok else 1, []
 
 
@@ -221,11 +220,12 @@ def _cmd_fiber(config: RunConfig):
     table = _load_table(config.table_path)
     point = fiber.FiberPoint.parse(config.point)
     algebra = fiber.specialize(table, point)
+    radical_dim = fiber.radical_dim(algebra)
     payload = {
         "point": point.to_json(),
         "center_dim": fiber.center_dim(algebra),
-        "radical_dim": fiber.radical_dim(algebra),
-        "semisimple": fiber.is_semisimple(algebra),
+        "radical_dim": radical_dim,
+        "semisimple": radical_dim == 0,
     }
     return payload, 0, []
 
@@ -253,7 +253,12 @@ def _cmd_hilbert(config: RunConfig):
 def _cmd_normal_form(config: RunConfig):
     matrix = _load_matrix(config.matrix_path)
     word = _parse_word(config.word or "")
-    element = rewrite.normal_form(word, matrix)
+    try:
+        element = rewrite.normal_form(word, matrix)
+    except PreconditionError:
+        raise
+    except ValueError as exc:
+        raise _CliError("usage", str(exc))
     payload = {
         "word": list(word),
         "terms": element.to_json(),
@@ -262,7 +267,7 @@ def _cmd_normal_form(config: RunConfig):
 
 
 def _cmd_report(config: RunConfig):
-    classification = qmatrix.classify(threads=config.threads)
+    classification = qmatrix.classify()
     base = qmatrix.canonical_generic_representative()
     certificate = structure.cy_certificate(base)
 
@@ -311,7 +316,7 @@ def _cmd_report(config: RunConfig):
     if config.seed is not None:
         table = structure.build_table(base)
         sampled = structure.verify_associativity(
-            table, "sampled=100000", seed=config.seed, threads=config.threads)
+            table, "sampled=100000", seed=config.seed)
         payload["sampled_verification"] = sampled.to_json()
     return payload, 0, []
 
@@ -372,8 +377,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qfermat", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for enumeration and verification")
     parser.add_argument("--emit", choices=("json", "human"), default="json",
                         help="output format (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -438,7 +441,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cohomology=getattr(args, "cohomology", False),
         word=getattr(args, "word", None),
         emit=args.emit,
-        threads=args.threads,
     )
 
 

@@ -360,26 +360,11 @@ def _radical_flags(F: FiberAlgebra) -> np.ndarray:
 
 
 def _gram_rows_generic(alg: Algebra) -> List[Dict[int, CycNum]]:
-    """Trace-form Gram rows by direct evaluation; O(dim^3) field operations."""
-    dim = alg.dim
+    """Sparse trace-form Gram rows by direct evaluation; O(dim^3) field operations."""
     rows = []
-    for i in range(dim):
-        row: Dict[int, CycNum] = {}
-        for j in range(dim):
-            total = ZERO
-            for c in range(dim):
-                s1 = alg.scalar(j, c)
-                if not s1:
-                    continue
-                m = alg.target(j, c)
-                if alg.target(i, m) != c:
-                    continue
-                s2 = alg.scalar(i, m)
-                if s2:
-                    total = total + s1 * s2
-            if total:
-                row[j] = total
-        rows.append(row)
+    for i in range(alg.dim):
+        row = {j: gram_entry(alg, i, j) for j in range(alg.dim)}
+        rows.append({j: v for j, v in row.items() if v})
     return rows
 
 

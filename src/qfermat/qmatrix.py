@@ -25,7 +25,6 @@ permutations and twists alone.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Sequence, Set, Tuple
@@ -196,109 +195,60 @@ def act_twist(N, v: Sequence[int]) -> QMatrix:
 # ---------------------------------------------------------------------------
 # enumeration
 
-_SCAN_LOCK = threading.Lock()
-_SCAN_RESULT: Tuple[Tuple[QMatrix, ...], Tuple[QMatrix, ...]] = None
+# the six free entries of an admissible matrix, row-major
+_FREE_PAIRS: Tuple[Tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _entries_from_uppers(u: np.ndarray) -> np.ndarray:
-    """(m, 10) upper entries -> (m, 5, 5) signed entry array (int16)."""
-    m = u.shape[0]
-    ent = np.zeros((m, 5, 5), dtype=np.int16)
-    for p, (i, j) in enumerate(_PAIRS):
-        col = u[:, p].astype(np.int16)
-        ent[:, i, j] = col
-        ent[:, j, i] = (-col) % 5
-    return ent
+def _from_free(free: np.ndarray) -> np.ndarray:
+    """(m, 6) free entries n01, n02, n03, n12, n13, n23 -> (m, 5, 5) entries in 0..4.
+
+    Skew symmetry fixes the lower triangle and zero row sums fix column 4;
+    row 4 then sums to zero by itself, because the row sums of a skew matrix
+    add up to zero.  So every result is admissible.
+    """
+    ent = np.zeros((free.shape[0], 5, 5), dtype=np.int64)
+    for p, (i, j) in enumerate(_FREE_PAIRS):
+        ent[:, i, j] = free[:, p]
+        ent[:, j, i] = -free[:, p]
+    ent[:, :4, 4] = -ent[:, :4, :4].sum(axis=2)
+    ent[:, 4, :4] = -ent[:, :4, 4]
+    return ent % 5
 
 
-def _admissible_generic_masks(ent: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    rows = ent.sum(axis=2) % 5
-    adm = (rows == 0).all(axis=1)
-    gen = np.ones(ent.shape[0], dtype=bool)
-    for i, j, k in _TRIPLES:
-        gen &= (ent[:, i, j] + ent[:, j, k] - ent[:, i, k]) % 5 != 0
-    return adm, gen
+@lru_cache(maxsize=1)
+def _enumeration() -> Tuple[Tuple[QMatrix, ...], Tuple[QMatrix, ...]]:
+    """(generic, admissible) matrices, each sorted by row-major entries."""
+    free = np.indices((5,) * 6).reshape(6, -1).T
+    admissible = tuple(QMatrix(m) for m in sorted(_from_free(free).tolist()))
+    return tuple(m for m in admissible if is_generic(m)), admissible
 
 
-def _scan_block(lo: int, hi: int) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
-    ids = np.arange(lo, hi, dtype=np.int64)
-    u = np.empty((ids.size, 10), dtype=np.int16)
-    for p in range(10):
-        u[:, p] = (ids // 5 ** (9 - p)) % 5
-    ent = _entries_from_uppers(u)
-    adm, gen = _admissible_generic_masks(ent)
-    gen_flats = [tuple(int(x) for x in h.ravel()) for h in ent[adm & gen] % 5]
-    adm_flats = [tuple(int(x) for x in h.ravel()) for h in ent[adm] % 5]
-    return gen_flats, adm_flats
-
-
-def _scan(threads: int = 1) -> Tuple[Tuple[QMatrix, ...], Tuple[QMatrix, ...]]:
-    global _SCAN_RESULT
-    with _SCAN_LOCK:
-        if _SCAN_RESULT is not None:
-            return _SCAN_RESULT
-    total = 5 ** 10
-    step = 500_000
-    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    gen_flats: List[Tuple[int, ...]] = []
-    adm_flats: List[Tuple[int, ...]] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for block_gen, block_adm in pool.map(lambda r: _scan_block(*r), ranges):
-                gen_flats.extend(block_gen)
-                adm_flats.extend(block_adm)
-    else:
-        for lo, hi in ranges:
-            block_gen, block_adm = _scan_block(lo, hi)
-            gen_flats.extend(block_gen)
-            adm_flats.extend(block_adm)
-    gen_flats.sort()
-    adm_flats.sort()
-
-    def mats(flats):
-        return tuple(QMatrix([f[5 * i:5 * i + 5] for i in range(5)]) for f in flats)
-
-    with _SCAN_LOCK:
-        _SCAN_RESULT = (mats(gen_flats), mats(adm_flats))
-    return _SCAN_RESULT
-
-
-def enumerate_generic(threads: int = 1) -> List[QMatrix]:
+def enumerate_generic() -> List[QMatrix]:
     """All admissible and generic matrices, sorted by row-major entries.
 
-    Scans the 5^10 strictly-upper candidates and filters; the result is
-    cached, so only the first call pays for the scan.
+    Builds the 5^6 admissible matrices from their six free entries and keeps
+    those that pass the 60-triple genericity test; the result is cached, so
+    only the first call pays for the construction.
     """
-    return list(_scan(threads)[0])
+    return list(_enumeration()[0])
 
 
-def enumerate_admissible(threads: int = 1) -> List[QMatrix]:
+def enumerate_admissible() -> List[QMatrix]:
     """All admissible matrices (genericity not required), sorted."""
-    return list(_scan(threads)[1])
+    return list(_enumeration()[1])
 
 
-def count_admissible(threads: int = 1) -> int:
+def count_admissible() -> int:
     """Number of admissible matrices (genericity not required)."""
-    return len(_scan(threads)[1])
+    return len(_enumeration()[1])
 
 
 def sample_admissible(count: int, seed: int) -> List[QMatrix]:
-    """Seeded rejection sampling of admissible matrices (uniform)."""
+    """Seeded uniform sample of admissible matrices, drawn by free entries."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = np.random.default_rng(seed)
-    out: List[QMatrix] = []
-    while len(out) < count:
-        u = rng.integers(0, 5, size=(8192, 10), dtype=np.int16)
-        ent = _entries_from_uppers(u)
-        adm, _ = _admissible_generic_masks(ent)
-        for h in ent[adm] % 5:
-            out.append(QMatrix(h.tolist()))
-            if len(out) == count:
-                break
-    return out
+    free = np.random.default_rng(seed).integers(0, 5, (count, 6))
+    return [QMatrix(m) for m in _from_free(free).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +356,9 @@ def _partition(matrices: List[QMatrix], actions: Set[str]) -> List[Set[Tuple[int
     return orbits
 
 
-def classify(threads: int = 1) -> ClassificationReport:
+def classify() -> ClassificationReport:
     """Partition the generic matrices into orbits and report the counts."""
-    matrices = enumerate_generic(threads)
+    matrices = enumerate_generic()
     full = _partition(matrices, set(ALL_ACTIONS))
     partial = _partition(matrices, {"permute", "twist"})
     reps = sorted(QMatrix([min(o)[5 * i:5 * i + 5] for i in range(5)]) for o in full)
@@ -417,7 +367,7 @@ def classify(threads: int = 1) -> ClassificationReport:
         orbit_count_all_actions=len(full),
         orbit_count_without_scaling=len(partial),
         canonical_representatives=reps,
-        admissible_count=count_admissible(threads),
+        admissible_count=count_admissible(),
     )
 
 

@@ -59,12 +59,13 @@ _WITNESS_COUNT = 25
 def exponent_matrix(N: QMatrix) -> np.ndarray:
     """The (625, 625) array E(a,b) = sum_{i>j} n_ij a_i b_j mod 5.
 
-    Low-level helper: no admissibility requirement, any integer matrix
-    works.  Values are exact (small integers via float64 BLAS, then reduced).
+    Low-level helper: no admissibility requirement, any 5x5 integer matrix
+    works.  Values are exact: the entries are reduced mod 5 as integers
+    first, so the float64 BLAS product only sees small integers.
     """
     t = indices.tables()
-    lower = np.tril(np.asarray(N.entries if isinstance(N, QMatrix) else N,
-                               dtype=np.float64), -1)
+    N = N if isinstance(N, QMatrix) else QMatrix(N)
+    lower = np.tril(np.array(N.entries, dtype=np.float64), -1)
     a = t.idx.astype(np.float64)
     e = (a @ lower) @ a.T
     return (np.rint(e).astype(np.int64) % 5).astype(np.int8)
@@ -210,7 +211,6 @@ class AssociativityReport:
     mode: str
     checks: int
     violations: List[dict] = field(default_factory=list)
-    elapsed: float = 0.0
     seed: Optional[int] = None
 
     def __bool__(self) -> bool:
@@ -362,33 +362,14 @@ def _full_triple_rows(table: StructureTable, rows: Iterable[int],
 
 
 def _verify_full_triple(table: StructureTable, report: AssociativityReport,
-                        budget_seconds: Optional[float], threads: int) -> None:
+                        budget_seconds: Optional[float]) -> None:
     start = time.monotonic()
     block = 16
-    blocks = [range(lo, min(lo + block, 625)) for lo in range(0, 625, block)]
-
-    def out_of_budget() -> bool:
-        return budget_seconds is not None and time.monotonic() - start > budget_seconds
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_full_triple_rows, table, rows, report)
-                       for rows in blocks]
-            for fut in futures:
-                report.checks += fut.result()
-                if out_of_budget():
-                    for other in futures:
-                        other.cancel()
-                    raise BudgetExceededError(
-                        "full-triple verification exceeded %.3f s" % budget_seconds)
-    else:
-        for rows in blocks:
-            if out_of_budget():
-                raise BudgetExceededError(
-                    "full-triple verification exceeded %.3f s" % budget_seconds)
-            report.checks += _full_triple_rows(table, rows, report)
+    for lo in range(0, 625, block):
+        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
+            raise BudgetExceededError(
+                "full-triple verification exceeded %.3f s" % budget_seconds)
+        report.checks += _full_triple_rows(table, range(lo, min(lo + block, 625)), report)
 
 
 def _verify_sampled(table: StructureTable, n: int, seed: int,
@@ -445,8 +426,7 @@ def parse_mode(mode: str) -> Tuple[str, Optional[int]]:
 
 def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
                          seed: Optional[int] = None,
-                         budget_seconds: Optional[float] = None,
-                         threads: int = 1) -> AssociativityReport:
+                         budget_seconds: Optional[float] = None) -> AssociativityReport:
     """Check the associativity laws of a structure table.
 
     exact-bilinear: compares the stored exponents against the bilinear form
@@ -461,18 +441,16 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     """
     kind, count = parse_mode(mode)
     report = AssociativityReport(ok=True, mode=kind, checks=0)
-    start = time.monotonic()
     if kind == "exact-bilinear":
         _verify_exact_bilinear(table, report)
     elif kind == "full-triple":
-        _verify_full_triple(table, report, budget_seconds, threads)
+        _verify_full_triple(table, report, budget_seconds)
     else:
         if seed is None:
             raise PreconditionError("sampled verification requires an explicit seed")
         report.seed = int(seed)
         report.mode = "sampled(%d)" % count
         _verify_sampled(table, count, int(seed), report)
-    report.elapsed = time.monotonic() - start
     return report
 
 

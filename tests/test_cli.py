@@ -270,10 +270,12 @@ def test_normal_form_empty_word_is_unit(capsys, matrix_file):
 
 
 def test_normal_form_rejects_bad_letters(capsys, matrix_file):
-    code = main(["normal-form", "--matrix", matrix_file, "--word", "1,q"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert json.loads(captured.err)["error"]["kind"] == "usage"
+    # a non-integer letter fails in parsing, an out-of-range one in rewriting
+    for word in ("1,q", "1,7"):
+        code = main(["normal-form", "--matrix", matrix_file, "--word", word])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.err)["error"]["kind"] == "usage"
 
 
 # ---------------------------------------------------------

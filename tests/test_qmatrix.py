@@ -206,6 +206,29 @@ def test_enumeration_sorted_and_first_element():
     assert gens[0] == CANONICAL
 
 
+def test_enumeration_agrees_with_predicates():
+    # the construction never consults the predicates, so compare them on a
+    # seeded sample of the 5^10 upper-entry vectors; every second vector has
+    # its column-4 entries solved for zero row sums, so both answers occur
+    admissible = set(enumerate_admissible())
+    generic = set(enumerate_generic())
+    rng = np.random.default_rng(4321)
+    seen = {(True, True): 0, (True, False): 0, (False, False): 0}
+    for k, u in enumerate(rng.integers(0, 5, size=(4000, 10)).tolist()):
+        if k % 2:
+            sums = QMatrix.from_upper(u).row_sums()
+            # n04, n14, n24, n34 each enter exactly one of the rows 0..3
+            for p, i in ((3, 0), (6, 1), (8, 2), (9, 3)):
+                u[p] -= sums[i]
+        m = QMatrix.from_upper(u)
+        adm = is_admissible(m)
+        gen = adm and is_generic(m)
+        assert (m in admissible) == adm
+        assert (m in generic) == gen
+        seen[adm, gen] += 1
+    assert min(seen.values()) >= 200, seen
+
+
 def test_sample_admissible_seeded_and_valid():
     a = sample_admissible(25, seed=77)
     b = sample_admissible(25, seed=77)

@@ -58,6 +58,14 @@ def test_exponent_bilinearity_arrays(canonical_table):
         assert ((E[b, :] + E[c, :]) % 5 == E[bc, :]).all()
 
 
+def test_exponent_matrix_of_plain_rows_with_huge_entries(canonical_matrix):
+    # entries beyond float64's exact integer range must reduce mod 5 first
+    rows = [list(r) for r in canonical_matrix.entries]
+    rows[1][0] = 5 * 10 ** 17 + 1
+    rows[3][2] -= 5 * 10 ** 30
+    assert (exponent_matrix(rows) == exponent_matrix(QMatrix(rows))).all()
+
+
 def test_build_table_rejects_non_admissible():
     bad = QMatrix([[0, 1, 0, 0, 0], [4, 0, 0, 0, 0]] + [[0] * 5] * 3)
     with pytest.raises(PreconditionError):
