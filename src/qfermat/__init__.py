@@ -34,8 +34,10 @@ from .qmatrix import (
     act_permute,
     act_scale,
     act_twist,
+    canonical_generic_representative,
     canonical_representative,
     classify,
+    enumerate_admissible,
     enumerate_generic,
     is_admissible,
     is_generic,
@@ -98,8 +100,10 @@ __all__ = [
     "act_permute",
     "act_twist",
     "enumerate_generic",
+    "enumerate_admissible",
     "orbit",
     "canonical_representative",
+    "canonical_generic_representative",
     "classify",
     "StructureTable",
     "PairingMatrix",

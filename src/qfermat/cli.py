@@ -15,8 +15,9 @@ serialized with sorted keys and contain no timings or machine state, so
 identical configuration (and seed, for sampled verification) gives
 byte-identical bytes.  Failures produce a machine-readable error record on
 stderr and a nonzero exit status: 2 for usage and parse errors, 3 for
-precondition violations, 4 for an exceeded full-triple budget, and 1 for a
-verification that ran but found violations.
+precondition violations, 4 for an exceeded full-triple budget, 5 for a
+failed internal consistency check (such as the two center computations
+disagreeing), and 1 for a verification that ran but found violations.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import cohomology, fiber, indices, qmatrix, rewrite, structure
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, ToolkitError
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -77,7 +77,8 @@ class _CliError(Exception):
         return {"error": err}
 
     def exit_code(self) -> int:
-        return {"usage": 2, "parse": 2, "precondition": 3, "budget": 4}.get(self.kind, 1)
+        return {"usage": 2, "parse": 2, "precondition": 3, "budget": 4,
+                "internal": 5}.get(self.kind, 1)
 
 
 def _json_default(obj):
@@ -346,12 +347,11 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     except _CliError as exc:
         err.write(_dumps(exc.record()))
         return exc.exit_code()
-    except BudgetExceededError as exc:
-        record = _CliError("budget", str(exc))
-        err.write(_dumps(record.record()))
-        return record.exit_code()
-    except PreconditionError as exc:
-        record = _CliError("precondition", str(exc))
+    except ToolkitError as exc:
+        # anything but a budget or precondition failure is a broken invariant
+        kind = ("budget" if isinstance(exc, BudgetExceededError) else
+                "precondition" if isinstance(exc, PreconditionError) else "internal")
+        record = _CliError(kind, str(exc))
         err.write(_dumps(record.record()))
         return record.exit_code()
     for path, text in artifacts:

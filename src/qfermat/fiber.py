@@ -31,7 +31,7 @@ fixtures like the two-dimensional algebra with a square-zero element.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,19 +140,17 @@ class FiberAlgebra:
 
     scalar(i, j) is the full product coefficient (root of unity times
     evaluated carry monomial) and target(i, j) the basis position of the
-    product, for basis positions i, j in lex order of the index set.
+    product, for basis positions i, j in lex order of the index set.  The
+    carry monomials are looked up through the shared carry_code bitmasks of
+    the index tables.
     """
 
     def __init__(self, table: StructureTable, point: FiberPoint):
-        shared = indices.tables()
         self.table = table
         self.point = point
         self.dim = 625
         self.unit_index = 0
-        if table.carry is shared.carry:
-            self.carry_code = shared.carry_code
-        else:
-            self.carry_code = table.carry.astype(np.uint8) @ (1 << np.arange(5, dtype=np.uint8))
+        self.carry_code = indices.tables().carry_code
 
         subset_vals: List[CycNum] = []
         for mask in range(32):
@@ -319,7 +317,7 @@ def _s_values_int(F: FiberAlgebra) -> np.ndarray:
     t = indices.tables()
     neg = t.neg
     exp = F.table.exp.astype(np.int64)
-    sum_idx = F.table.sum_idx
+    sum_idx = t.sum_idx
     code = F.carry_code
     mono = F._subset_ints
     rows = np.arange(625)[:, None]

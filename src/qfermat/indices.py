@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -185,6 +185,9 @@ def weight_histogram() -> Tuple[int, ...]:
 class IndexTables:
     """Read-only numpy views of the index monoid, shared across modules.
 
+    Every structure table reads its targets and carries from these arrays
+    and holds no copy of them; fiber algebras read carry_code.
+
     Attributes (all indexed by the lex position of the index):
       idx       (625, 5) int64   digit rows
       index_of  dict digit-tuple -> position
@@ -192,7 +195,6 @@ class IndexTables:
       sum_idx   (625, 625) int32 position of the reduced digitwise sum
       carry     (625, 625, 5) bool  carry flags
       ncarry    (625, 625) int8  carry counts
-      code4     (625, 625) uint16 carry flags packed base 4 (digit p = flag_p)
       carry_code (625, 625) uint8 carry flags packed as a bitmask
       comp      (625,)   int32   position of (4,...,4) - a
       neg       (625,)   int32   position of the additive inverse
@@ -216,13 +218,12 @@ class IndexTables:
         self.sum_idx = sum_idx
         self.carry = carry
         self.ncarry = carry.sum(axis=2).astype(np.int8)
-        self.code4 = (carry.astype(np.uint16) @ (4 ** np.arange(5, dtype=np.uint16)))
         self.carry_code = (carry.astype(np.uint8) @ (1 << np.arange(5, dtype=np.uint8)))
         self.comp = lut[(4 - idx) @ key_weights]
         self.neg = lut[((-idx) % 5) @ key_weights]
 
         for arr in (self.idx, self.weight, self.sum_idx, self.carry,
-                    self.ncarry, self.code4, self.carry_code, self.comp, self.neg):
+                    self.ncarry, self.carry_code, self.comp, self.neg):
             arr.setflags(write=False)
 
 

@@ -42,10 +42,12 @@ __all__ = [
     "act_permute",
     "act_twist",
     "enumerate_generic",
+    "enumerate_admissible",
     "count_admissible",
     "sample_admissible",
     "orbit",
     "canonical_representative",
+    "canonical_generic_representative",
     "classify",
     "ALL_ACTIONS",
 ]

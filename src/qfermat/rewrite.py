@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, ONE, ZERO, root_power
 from .errors import PreconditionError

@@ -21,7 +21,8 @@ pairing is symmetric; over arbitrary skew matrices, elementwise symmetry of
 the 625 antidiagonal pairs is equivalent to all row sums being equal mod 5.
 
 Exponents are stored as a (625, 625) int8 array and realized as field
-elements only at API boundaries.
+elements only at API boundaries; targets and carries are the shared arrays
+of the index module.
 """
 
 from __future__ import annotations
@@ -87,27 +88,28 @@ def _as_position(a) -> int:
 class StructureTable:
     """The full 625x625 multiplication data for one admissible matrix.
 
-    Normally the target and carry arrays are shared read-only views from the
-    index module; tables loaded from JSON own their (validated) copies.
+    Only the exponents E(a,b) depend on the matrix, so a table is its source
+    matrix and the (625, 625) int8 array exp.  The target positions sum_idx
+    and the carry flags carry come from the index monoid alone; they are the
+    shared read-only arrays of indices.tables().
     """
 
-    __slots__ = ("source_matrix", "exp", "sum_idx", "carry", "ncarry", "code4")
+    __slots__ = ("source_matrix", "exp")
 
-    def __init__(self, source_matrix: QMatrix, exp: np.ndarray,
-                 sum_idx: Optional[np.ndarray] = None,
-                 carry: Optional[np.ndarray] = None):
-        shared = indices.tables()
+    def __init__(self, source_matrix: QMatrix, exp: np.ndarray):
         self.source_matrix = source_matrix
         self.exp = exp
-        self.sum_idx = shared.sum_idx if sum_idx is None else sum_idx
-        self.carry = shared.carry if carry is None else carry
-        if carry is None:
-            self.ncarry = shared.ncarry
-            self.code4 = shared.code4
-        else:
-            self.ncarry = self.carry.sum(axis=2).astype(np.int8)
-            self.code4 = self.carry.astype(np.uint16) @ (4 ** np.arange(5, dtype=np.uint16))
         self.exp.setflags(write=False)
+
+    @property
+    def sum_idx(self) -> np.ndarray:
+        """(625, 625) position of a+b, shared by every table."""
+        return indices.tables().sum_idx
+
+    @property
+    def carry(self) -> np.ndarray:
+        """(625, 625, 5) carry flags of a+b, shared by every table."""
+        return indices.tables().carry
 
     # -- element access --------------------------------------------------
 
@@ -122,75 +124,48 @@ class StructureTable:
         """(coefficient exponent, carry vector, target index) at (a, b)."""
         i, j = _as_position(a), _as_position(b)
         shared = indices.tables()
-        target = MultiIndex(tuple(int(d) for d in shared.idx[self.sum_idx[i, j]]))
-        carry = CarryVector(tuple(bool(f) for f in self.carry[i, j]))
+        target = MultiIndex(tuple(int(d) for d in shared.idx[shared.sum_idx[i, j]]))
+        carry = CarryVector(tuple(bool(f) for f in shared.carry[i, j]))
         return Mod5(int(self.exp[i, j])), carry, target
 
     def replace_exponent(self, a, b, new_exp: int) -> "StructureTable":
         """Copy of the table with one exponent overwritten (fault injection)."""
         exp = self.exp.copy()
         exp[_as_position(a), _as_position(b)] = int(new_exp) % 5
-        return StructureTable(self.source_matrix, exp,
-                              sum_idx=None if self.sum_idx is indices.tables().sum_idx else self.sum_idx,
-                              carry=None if self.carry is indices.tables().carry else self.carry)
+        return StructureTable(self.source_matrix, exp)
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        shared = indices.tables()
-        digits = shared.idx.tolist()
-        exp = self.exp.tolist()
-        sum_idx = self.sum_idx.tolist()
-        carry = self.carry.tolist()
-        entries = []
-        for i in range(625):
-            a_dig = digits[i]
-            exp_row = exp[i]
-            sum_row = sum_idx[i]
-            carry_row = carry[i]
-            for j in range(625):
-                entries.append({
-                    "a": a_dig,
-                    "b": digits[j],
-                    "target": digits[sum_row[j]],
-                    "exp": exp_row[j],
-                    "carry": carry_row[j],
-                })
-        return {"source_matrix": self.source_matrix.to_json(), "entries": entries}
+        """Format 2: the source matrix and each row of exp as 625 digits 0..4."""
+        rows = (self.exp + ord("0")).astype(np.uint8)
+        return {
+            "format": 2,
+            "source_matrix": self.source_matrix.to_json(),
+            "exp": [row.tobytes().decode("ascii") for row in rows],
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "StructureTable":
+        if not isinstance(data, dict) or data.get("format") != 2:
+            raise PreconditionError(
+                "not a format-2 table file (rebuild it with build-table)")
         matrix = QMatrix.from_json(data["source_matrix"])
         if not is_admissible(matrix):
             raise PreconditionError("table source matrix is not admissible")
-        entries = data["entries"]
-        if len(entries) != 625 * 625:
-            raise PreconditionError("table must cover all 625^2 ordered pairs, got %d"
-                                    % len(entries))
-        shared = indices.tables()
-        index_of = shared.index_of
-        exp = np.full((625, 625), -1, dtype=np.int8)
-        sum_idx = np.zeros((625, 625), dtype=np.int32)
-        carry = np.zeros((625, 625, 5), dtype=bool)
-        for rec in entries:
-            i = index_of.get(tuple(rec["a"]))
-            j = index_of.get(tuple(rec["b"]))
-            k = index_of.get(tuple(rec["target"]))
-            if i is None or j is None or k is None:
-                raise PreconditionError("table entry uses an index outside the index set: %r"
-                                        % (rec,))
-            e = int(rec["exp"])
-            if not 0 <= e <= 4:
-                raise PreconditionError("coefficient exponent out of range: %r" % (rec,))
-            flags = rec["carry"]
-            if len(flags) != 5:
-                raise PreconditionError("carry vector must have 5 flags: %r" % (rec,))
-            exp[i, j] = e
-            sum_idx[i, j] = k
-            carry[i, j] = [bool(f) for f in flags]
-        if (exp < 0).any():
-            raise PreconditionError("table is missing entries for some ordered pairs")
-        return cls(matrix, exp, sum_idx=sum_idx, carry=carry)
+        rows = data["exp"]
+        if not isinstance(rows, list) or len(rows) != 625:
+            raise PreconditionError("table must have 625 exponent rows")
+        for k, row in enumerate(rows):
+            if not isinstance(row, str) or len(row) != 625:
+                raise PreconditionError(
+                    "exponent row %d is not a string of 625 digits" % k)
+        # "replace" keeps one byte per character, so a non-ASCII one fails below
+        codes = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+        exp = codes - np.uint8(ord("0"))
+        if (exp > 4).any():
+            raise PreconditionError("coefficient exponents must be digits 0..4")
+        return cls(matrix, exp.astype(np.int8).reshape(625, 625))
 
 
 def build_table(N: QMatrix) -> StructureTable:
@@ -263,8 +238,6 @@ def _find_cocycle_violation(table: StructureTable, a: int, b: int) -> Optional[d
 
 
 def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -> None:
-    shared = indices.tables()
-
     # the cap applies to the report as a whole, not per section
     def record(violation: dict) -> None:
         if len(report.violations) < _MAX_RECORDED_VIOLATIONS:
@@ -282,30 +255,6 @@ def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -
         )
     if mism.size:
         report.ok = False
-
-    # target and carry data must match the index monoid exactly
-    if table.sum_idx is not shared.sum_idx:
-        report.checks += 625 * 625
-        bad = np.argwhere(table.sum_idx != shared.sum_idx)
-        for i, j in bad[:_MAX_RECORDED_VIOLATIONS]:
-            record(_violation(
-                "target", int(i), int(j), None,
-                table.sum_idx[i, j], shared.sum_idx[i, j]))
-        if bad.size:
-            report.ok = False
-    else:
-        report.checks += 625 * 625
-    if table.carry is not shared.carry:
-        report.checks += 625 * 625
-        if not np.array_equal(table.carry, shared.carry):
-            bad = np.argwhere((table.carry != shared.carry).any(axis=2))
-            for i, j in bad[:_MAX_RECORDED_VIOLATIONS]:
-                record(_violation(
-                    "carry", int(i), int(j), None,
-                    int(table.code4[i, j]), int(shared.code4[i, j])))
-            report.ok = False
-    else:
-        report.checks += 625 * 625
 
     # linearity witnesses on the stored exponents: additive in each slot
     exp = table.exp.astype(np.int16)
@@ -335,29 +284,19 @@ def _full_triple_rows(table: StructureTable, rows: Iterable[int],
     """Check all triples (a, b, c) with a in rows; returns number of checks."""
     exp = table.exp.astype(np.int16)
     s = table.sum_idx
-    code4 = table.code4
     checks = 0
     for a in rows:
-        ab = s[a]
-        lhs = exp[a][:, None] + exp[ab, :]
+        lhs = exp[a][:, None] + exp[s[a], :]
         rhs = exp + exp[a][s]
         bad = np.argwhere((lhs - rhs) % 5 != 0)
-        lhs_c = code4[a][:, None] + code4[ab, :]
-        rhs_c = code4 + code4[a][s]
-        bad_c = np.argwhere(lhs_c != rhs_c)
-        checks += 2 * 625 * 625
-        if bad.size or bad_c.size:
+        checks += 625 * 625
+        if bad.size:
             report.ok = False
             for b, c in bad[:_MAX_RECORDED_VIOLATIONS]:
                 if len(report.violations) < _MAX_RECORDED_VIOLATIONS:
                     report.violations.append(_violation(
                         "cocycle", a, int(b), int(c),
                         lhs[b, c] % 5, rhs[b, c] % 5))
-            for b, c in bad_c[:_MAX_RECORDED_VIOLATIONS]:
-                if len(report.violations) < _MAX_RECORDED_VIOLATIONS:
-                    report.violations.append(_violation(
-                        "carry", a, int(b), int(c),
-                        int(lhs_c[b, c]), int(rhs_c[b, c])))
     return checks
 
 
@@ -379,26 +318,15 @@ def _verify_sampled(table: StructureTable, n: int, seed: int,
     a, b, c = abc
     exp = table.exp.astype(np.int16)
     s = table.sum_idx
-    code4 = table.code4
-    ab = s[a, b]
-    bc = s[b, c]
-    lhs = exp[a, b] + exp[ab, c]
-    rhs = exp[b, c] + exp[a, bc]
+    lhs = exp[a, b] + exp[s[a, b], c]
+    rhs = exp[b, c] + exp[a, s[b, c]]
     bad = np.nonzero((lhs - rhs) % 5)[0]
-    lhs_c = code4[a, b].astype(np.int32) + code4[ab, c]
-    rhs_c = code4[b, c].astype(np.int32) + code4[a, bc]
-    bad_c = np.nonzero(lhs_c != rhs_c)[0]
-    report.checks += 2 * n
+    report.checks += n
     for t in bad[:_MAX_RECORDED_VIOLATIONS]:
         report.violations.append(_violation(
             "cocycle", int(a[t]), int(b[t]), int(c[t]),
             lhs[t] % 5, rhs[t] % 5))
-    for t in bad_c[:_MAX_RECORDED_VIOLATIONS]:
-        if len(report.violations) < _MAX_RECORDED_VIOLATIONS:
-            report.violations.append(_violation(
-                "carry", int(a[t]), int(b[t]), int(c[t]),
-                int(lhs_c[t]), int(rhs_c[t])))
-    if bad.size or bad_c.size:
+    if bad.size:
         report.ok = False
 
 
@@ -429,12 +357,16 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
                          budget_seconds: Optional[float] = None) -> AssociativityReport:
     """Check the associativity laws of a structure table.
 
+    Only the exponents are checked: every table shares the target and carry
+    arrays of the index monoid, whose associativity does not depend on the
+    matrix.
+
     exact-bilinear: compares the stored exponents against the bilinear form
-    of the source matrix on all 625^2 pairs (with linearity witnesses) and
-    the stored targets/carries against the index monoid; bilinearity plus
-    carry associativity imply the cocycle identity on all triples.
-    full-triple: evaluates both sides of the cocycle and carry identities on
-    all 625^3 triples; honors budget_seconds.
+    of the source matrix on all 625^2 pairs, with linearity witnesses;
+    bilinearity implies the cocycle identity on all triples.
+    full-triple: evaluates both sides of the cocycle identity
+    E(a,b) + E(a+b,c) = E(b,c) + E(a,b+c) on all 625^3 triples; honors
+    budget_seconds.
     sampled(n): evaluates n uniformly random triples; requires a seed.
 
     Returns a truthy/falsy report carrying the violating triples, if any.

@@ -1,0 +1,80 @@
+"""Static checks on the package sources and the README's import block."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "qfermat").glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _top_level_imports(tree):
+    """(bound name, line) for each name a module-level import binds."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.append(((alias.asname or alias.name).split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out.append((alias.asname or alias.name, node.lineno))
+    return out
+
+
+def _top_level_bindings(tree):
+    names = {name for name, _ in _top_level_imports(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _referenced_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    tree = _parse(path)
+    used = _referenced_names(tree) | set(_declared_all(tree))
+    unused = ["%s (line %d)" % (name, line)
+              for name, line in _top_level_imports(tree) if name not in used]
+    assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    tree = _parse(path)
+    missing = sorted(set(_declared_all(tree)) - _top_level_bindings(tree))
+    assert not missing, "%s lists undefined names in __all__: %s" % (path.name, missing)
+
+
+def test_readme_library_imports_resolve():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"from qfermat import \(([^)]*)\)", text)
+    assert block, "README has no 'from qfermat import (...)' block"
+    names = [n.strip() for n in block.group(1).split(",") if n.strip()]
+    assert names
+    package = importlib.import_module("qfermat")
+    missing = [n for n in names if not hasattr(package, n)]
+    assert not missing, "README imports names qfermat does not export: %s" % missing
+    assert set(names) <= set(package.__all__)

@@ -108,6 +108,20 @@ def test_carry_associativity_sampled():
         assert t.sum_idx[ab, c] == t.sum_idx[a, bc]
 
 
+def test_carry_associativity_all_triples():
+    # carry(a,b) + carry(a+b,c) == carry(b,c) + carry(a,b+c) as flag vectors,
+    # for all 625^3 triples; flags are packed base 4 so a per-position sum of
+    # two flags never spills into the next digit
+    t = indices.tables()
+    s = t.sum_idx
+    code4 = t.carry.astype(np.uint16) @ (4 ** np.arange(5, dtype=np.uint16))
+    for a in range(625):
+        lhs = code4[a][:, None] + code4[s[a], :]
+        rhs = code4 + code4[a][s]
+        assert (lhs == rhs).all(), "carry identity fails for a = %d" % a
+        assert (s[s[a], :] == s[a][s]).all(), "addition not associative at a = %d" % a
+
+
 def test_negation_is_additive_inverse():
     t = indices.tables()
     for pos in range(625):

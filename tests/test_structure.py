@@ -119,7 +119,7 @@ def test_exact_bilinear_passes(canonical_table):
 def test_full_triple_passes_on_zero_matrix(zero_table):
     report = verify_associativity(zero_table, "full-triple", budget_seconds=300)
     assert report.ok
-    assert report.checks == 2 * 625 ** 3
+    assert report.checks == 625 ** 3
 
 
 def test_full_triple_budget_enforced(canonical_table):
@@ -137,7 +137,7 @@ def test_sampled_deterministic_and_clean(canonical_table):
     r2 = verify_associativity(canonical_table, "sampled(5000)", seed=42)
     assert r1.ok and r2.ok
     assert r1.seed == 42
-    assert r1.checks == r2.checks == 10000
+    assert r1.checks == r2.checks == 5000
 
 
 def test_parse_mode_accepts_both_spellings():
@@ -306,7 +306,7 @@ def test_certificate_accepts_prebuilt_table(canonical_table):
 
 def test_table_json_roundtrip(canonical_table):
     data = canonical_table.to_json()
-    assert len(data["entries"]) == 625 * 625
+    assert len(data["exp"]) == 625
     loaded = structure.StructureTable.from_json(data)
     assert loaded.source_matrix == canonical_table.source_matrix
     assert (loaded.exp == canonical_table.exp).all()
@@ -314,16 +314,34 @@ def test_table_json_roundtrip(canonical_table):
     assert (loaded.carry == canonical_table.carry).all()
 
 
-def test_table_json_rejects_missing_entries(canonical_table):
-    data = canonical_table.to_json()
-    data["entries"] = data["entries"][:-1]
-    with pytest.raises(PreconditionError):
-        structure.StructureTable.from_json(data)
+def _drop_last_row(data):
+    data["exp"] = data["exp"][:-1]
 
 
-def test_table_json_rejects_alien_index(canonical_table):
+def _short_row(data):
+    data["exp"][3] = data["exp"][3][:-1]
+
+
+def _set_digit(char):
+    def corrupt(data):
+        row = data["exp"][5]
+        data["exp"][5] = row[:9] + char + row[10:]
+    return corrupt
+
+
+def _format_1(data):
+    # a format-1 file lists per-pair records and has no format field
+    del data["format"], data["exp"]
+    data["entries"] = [{"a": [0] * 5, "b": [0] * 5, "target": [0] * 5,
+                        "exp": 0, "carry": [False] * 5}]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_last_row, _short_row, _set_digit("x"), _set_digit("5"), _format_1,
+], ids=["624-rows", "short-row", "non-digit", "digit-5", "format-1"])
+def test_table_json_rejects_malformed(canonical_table, corrupt):
     data = canonical_table.to_json()
-    data["entries"][0] = dict(data["entries"][0], a=[1, 0, 0, 0, 0])
+    corrupt(data)
     with pytest.raises(PreconditionError):
         structure.StructureTable.from_json(data)
 
