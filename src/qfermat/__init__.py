@@ -42,6 +42,7 @@ from .qmatrix import (
     is_admissible,
     is_generic,
     orbit,
+    orbit_representatives,
 )
 from .structure import (
     AssociativityReport,
@@ -104,6 +105,7 @@ __all__ = [
     "orbit",
     "canonical_representative",
     "canonical_generic_representative",
+    "orbit_representatives",
     "classify",
     "StructureTable",
     "PairingMatrix",

@@ -15,7 +15,7 @@ serialized with sorted keys and contain no timings or machine state, so
 identical configuration (and seed, for sampled verification) gives
 byte-identical bytes.  Failures produce a machine-readable error record on
 stderr and a nonzero exit status: 2 for usage and parse errors, 3 for
-precondition violations, 4 for an exceeded full-triple budget, 5 for a
+precondition violations, 4 for an exceeded verification budget, 5 for a
 failed internal consistency check (such as the two center computations
 disagreeing), and 1 for a verification that ran but found violations.
 """
@@ -180,12 +180,9 @@ def _cmd_classify(config: RunConfig):
     payload = report.to_json()
     artifacts = []
     if config.actions is not None and actions != set(_ACTION_NAMES):
-        mats = qmatrix.enumerate_generic()
-        orbits = qmatrix._partition(mats, actions)
-        reps = sorted(qmatrix.QMatrix([min(o)[5 * i:5 * i + 5] for i in range(5)])
-                      for o in orbits)
+        reps = qmatrix.orbit_representatives(actions)
         payload["selected_actions"] = sorted(actions)
-        payload["orbit_count_selected_actions"] = len(orbits)
+        payload["orbit_count_selected_actions"] = len(reps)
         selected = [m.to_json() for m in reps]
     else:
         selected = payload["canonical_representatives"]
@@ -398,7 +395,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="seed, required for sampled mode")
     p.add_argument("--budget-seconds", dest="budget_seconds", type=float, default=600.0,
-                   help="abort full mode after this many seconds (default 600)")
+                   help="abort full or sampled mode after this many seconds "
+                        "(default 600)")
 
     p = sub.add_parser("fiber", help="analyze the fiber algebra at a point")
     p.add_argument("--table", required=True, help="table JSON file")

@@ -55,10 +55,6 @@ class RatPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, value) -> "RatPolynomial":
-        return cls([value])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""

@@ -112,10 +112,6 @@ class CycNum:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rational(cls, value) -> "CycNum":
-        return cls((value, 0, 0, 0))
-
-    @classmethod
     def from_json(cls, data) -> "CycNum":
         return cls(data)
 

@@ -192,9 +192,7 @@ class FiberAlgebra:
 
     def coefficient(self, a, b) -> CycNum:
         """Product coefficient by multi-index (accepts digit tuples too)."""
-        from .structure import _as_position
-
-        return self.scalar(_as_position(a), _as_position(b))
+        return self.scalar(indices.position(a), indices.position(b))
 
 
 class MonomialAlgebra:

@@ -34,8 +34,7 @@ __all__ = [
     "complement",
     "weight_histogram",
     "tables",
-    "ZERO_INDEX",
-    "TOP_INDEX",
+    "position",
 ]
 
 
@@ -127,10 +126,6 @@ class CarryVector:
 
     def __repr__(self):
         return "CarryVector(%r)" % (self.flags,)
-
-
-ZERO_INDEX = MultiIndex((0, 0, 0, 0, 0))
-TOP_INDEX = MultiIndex((4, 4, 4, 4, 4))
 
 
 @lru_cache(maxsize=1)
@@ -230,3 +225,17 @@ class IndexTables:
 @lru_cache(maxsize=1)
 def tables() -> IndexTables:
     return IndexTables()
+
+
+def position(a) -> int:
+    """Lex position of an index given as a position, a MultiIndex or digits."""
+    if isinstance(a, (int, np.integer)):
+        pos = int(a)
+        if not 0 <= pos < 625:
+            raise ValueError("index position out of range: %d" % pos)
+        return pos
+    digits = tuple(int(d) for d in (a.digits if isinstance(a, MultiIndex) else a))
+    try:
+        return tables().index_of[digits]
+    except KeyError:
+        raise ValueError("not an element of the index set: %r" % (digits,))

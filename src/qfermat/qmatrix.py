@@ -13,10 +13,14 @@ ordered triple of pairwise-distinct indices.
 
 Three actions preserve both properties: scaling all entries by a nonzero
 constant (changing the chosen primitive root), conjugating by a coordinate
-permutation, and twisting by a vector v (n_ij -> n_ij + v_i - v_j).  The
-orbit machinery uses zero-sum twist generators e_i - e_j, which generate
-every twist preserving the row-sum normalization (a raw e_i twist shifts
-all row sums and leaves the admissible set).
+permutation, and twisting by a zero-sum vector v (n_ij -> n_ij + v_i - v_j).
+
+The code of an admissible matrix is its free entries n01, n02, n03, n12,
+n13, n23 read as a base-5 number; every other entry is fixed by free entries
+before it in row-major order, so code order is row-major order.  Orbits are
+read from label[c], the least code in the orbit of code c, which
+min-propagation finds along seven generators: scaling by 2, the permutations
+(1,0,2,3,4) and (1,2,3,4,0), and the twists e_0 - e_b for b = 1..4.
 
 The headline computation: there are exactly 15625 admissible matrices, 3000
 of them generic, and the generic ones form a single orbit, already under
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +52,7 @@ __all__ = [
     "orbit",
     "canonical_representative",
     "canonical_generic_representative",
+    "orbit_representatives",
     "classify",
     "ALL_ACTIONS",
 ]
@@ -95,16 +100,6 @@ class QMatrix:
             rows[i][j] = v
             rows[j][i] = (-v) % 5
         return cls(rows)
-
-    @classmethod
-    def from_array(cls, arr) -> "QMatrix":
-        return cls(np.asarray(arr).tolist())
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
-
-    def upper_entries(self) -> Tuple[int, ...]:
-        return tuple(self.entries[i][j] for i, j in _PAIRS)
 
     def row_sums(self) -> Tuple[int, ...]:
         return tuple(sum(row) % 5 for row in self.entries)
@@ -199,6 +194,9 @@ def act_twist(N, v: Sequence[int]) -> QMatrix:
 
 # the six free entries of an admissible matrix, row-major
 _FREE_PAIRS: Tuple[Tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_FREE_ROWS, _FREE_COLS = np.array(_FREE_PAIRS).T
+# base-5 place values of the free entries in a code, n01 most significant
+_PLACES = 5 ** np.arange(5, -1, -1)
 
 
 def _from_free(free: np.ndarray) -> np.ndarray:
@@ -217,12 +215,17 @@ def _from_free(free: np.ndarray) -> np.ndarray:
     return ent % 5
 
 
+def _all_entries() -> np.ndarray:
+    """(5^6, 5, 5) entries of every admissible matrix; row c has code c."""
+    return _from_free(np.indices((5,) * 6).reshape(6, -1).T)
+
+
 @lru_cache(maxsize=1)
-def _enumeration() -> Tuple[Tuple[QMatrix, ...], Tuple[QMatrix, ...]]:
-    """(generic, admissible) matrices, each sorted by row-major entries."""
-    free = np.indices((5,) * 6).reshape(6, -1).T
-    admissible = tuple(QMatrix(m) for m in sorted(_from_free(free).tolist()))
-    return tuple(m for m in admissible if is_generic(m)), admissible
+def _enumeration() -> Tuple[Tuple[QMatrix, ...], np.ndarray]:
+    """(the admissible matrices indexed by code, the codes of the generic ones)."""
+    admissible = tuple(QMatrix(m) for m in _all_entries().tolist())
+    generic = np.array([c for c, m in enumerate(admissible) if is_generic(m)])
+    return admissible, generic
 
 
 def enumerate_generic() -> List[QMatrix]:
@@ -232,17 +235,18 @@ def enumerate_generic() -> List[QMatrix]:
     those that pass the 60-triple genericity test; the result is cached, so
     only the first call pays for the construction.
     """
-    return list(_enumeration()[0])
+    admissible, generic = _enumeration()
+    return [admissible[c] for c in generic]
 
 
 def enumerate_admissible() -> List[QMatrix]:
     """All admissible matrices (genericity not required), sorted."""
-    return list(_enumeration()[1])
+    return list(_enumeration()[0])
 
 
 def count_admissible() -> int:
     """Number of admissible matrices (genericity not required)."""
-    return len(_enumeration()[1])
+    return len(_enumeration()[0])
 
 
 def sample_admissible(count: int, seed: int) -> List[QMatrix]:
@@ -256,76 +260,81 @@ def sample_admissible(count: int, seed: int) -> List[QMatrix]:
 # ---------------------------------------------------------------------------
 # orbits
 
-# generator moves, precompiled to act on flattened 25-tuples
-_PERM_GENS = ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
-_PERM_MAPS = tuple(
-    tuple(5 * s[i] + s[j] for i in range(5) for j in range(5)) for s in _PERM_GENS
-)
-_TWIST_DELTAS = tuple(
-    tuple((v[i] - v[j]) % 5 for i in range(5) for j in range(5))
-    for v in (
-        tuple(1 if t == a else (-1 % 5) if t == b else 0 for t in range(5))
-        for a in range(5) for b in range(5) if a != b
-    )
-)
 
-
-def _neighbors(flat: Tuple[int, ...], use_scale: bool, use_permute: bool,
-               use_twist: bool):
-    if use_scale:
-        for a in (2, 3, 4):
-            yield tuple((x * a) % 5 for x in flat)
-    if use_permute:
-        for pm in _PERM_MAPS:
-            yield tuple(flat[p] for p in pm)
-    if use_twist:
-        for d in _TWIST_DELTAS:
-            yield tuple((x + y) % 5 for x, y in zip(flat, d))
-
-
-def _closure(start: Tuple[int, ...], actions: Set[str]) -> Set[Tuple[int, ...]]:
-    use_scale = "scale" in actions
-    use_permute = "permute" in actions
-    use_twist = "twist" in actions
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in _neighbors(f, use_scale, use_permute, use_twist):
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return seen
-
-
-def _check_actions(actions) -> Set[str]:
-    acts = set(actions)
+def _check_actions(actions) -> FrozenSet[str]:
+    acts = frozenset(actions)
     bad = acts - set(ALL_ACTIONS)
     if bad:
         raise PreconditionError("unknown actions: %s" % ", ".join(sorted(bad)))
     return acts
 
 
-def orbit(N, actions=ALL_ACTIONS) -> Set[QMatrix]:
-    """Breadth-first closure of {N} under the selected actions.
+def _generator_images(actions: FrozenSet[str]):
+    """Each generator's image of every admissible matrix, one array at a time."""
+    ent = _all_entries()
+    if "scale" in actions:
+        yield 2 * ent
+    if "permute" in actions:
+        for s in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)):
+            yield ent[:, s][:, :, s]
+    if "twist" in actions:
+        unit = np.eye(5, dtype=np.int64)
+        for v in unit[0] - unit[1:]:
+            yield ent + v[:, None] - v
 
-    Twisting walks the zero-sum generators e_i - e_j, so every member stays
-    admissible; scaling uses all nonzero factors and permutations a
-    generating pair, which close up to the same group orbit.
+
+@lru_cache(maxsize=None)
+def _labels(actions: FrozenSet[str]) -> np.ndarray:
+    """label[c] is the least code in the orbit of code c under the actions.
+
+    A round lowers each label to that of every generator image and then to
+    the label of the label; at the fixed point labels are constant on orbits.
+    """
+    images = [(g[:, _FREE_ROWS, _FREE_COLS] % 5) @ _PLACES
+              for g in _generator_images(actions)]
+    label = np.arange(5 ** 6)
+    while True:
+        prev = label
+        for image in images:
+            label = np.minimum(label, label[image])
+        label = label[label]
+        if np.array_equal(label, prev):
+            label.setflags(write=False)
+            return label
+
+
+def orbit(N, actions=ALL_ACTIONS) -> Set[QMatrix]:
+    """The orbit of an admissible N under the selected actions.
+
+    Twists are the zero-sum ones, so every member stays admissible; scaling
+    uses all nonzero factors and permutations all of S_5.
     """
     N = _coerce(N)
     if not is_admissible(N):
         raise PreconditionError("orbit requires an admissible matrix")
-    acts = _check_actions(actions)
-    flats = _closure(N.flat(), acts)
-    return {QMatrix([f[5 * i:5 * i + 5] for i in range(5)]) for f in flats}
+    label = _labels(_check_actions(actions))
+    code = sum(N.entries[i][j] * int(w) for (i, j), w in zip(_FREE_PAIRS, _PLACES))
+    admissible = _enumeration()[0]
+    return {admissible[c] for c in np.flatnonzero(label == label[code])}
 
 
 def canonical_representative(N, actions=ALL_ACTIONS) -> QMatrix:
     """Lexicographic minimum of the orbit, matrices ordered row-major."""
     return min(orbit(N, actions))
+
+
+def orbit_representatives(actions=ALL_ACTIONS) -> List[QMatrix]:
+    """Least member of each orbit of the generic matrices, sorted row-major.
+
+    One matrix per orbit under the selected actions, so the length of the
+    list is the orbit count.  Checks that the generic matrices are a union
+    of orbits: exactly the generic codes share a label with a generic code.
+    """
+    label = _labels(_check_actions(actions))
+    admissible, generic = _enumeration()
+    in_generic_orbit = np.flatnonzero(np.isin(label, label[generic]))
+    assert np.array_equal(in_generic_orbit, generic), "orbit left the generic set"
+    return [admissible[c] for c in np.unique(label[generic])]
 
 
 @dataclass
@@ -346,28 +355,13 @@ class ClassificationReport:
         }
 
 
-def _partition(matrices: List[QMatrix], actions: Set[str]) -> List[Set[Tuple[int, ...]]]:
-    remaining = {m.flat() for m in matrices}
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        cl = _closure(start, actions)
-        assert cl <= remaining, "orbit left the enumerated set"
-        orbits.append(cl)
-        remaining -= cl
-    return orbits
-
-
 def classify() -> ClassificationReport:
     """Partition the generic matrices into orbits and report the counts."""
-    matrices = enumerate_generic()
-    full = _partition(matrices, set(ALL_ACTIONS))
-    partial = _partition(matrices, {"permute", "twist"})
-    reps = sorted(QMatrix([min(o)[5 * i:5 * i + 5] for i in range(5)]) for o in full)
+    reps = orbit_representatives(ALL_ACTIONS)
     return ClassificationReport(
-        generic_count=len(matrices),
-        orbit_count_all_actions=len(full),
-        orbit_count_without_scaling=len(partial),
+        generic_count=len(enumerate_generic()),
+        orbit_count_all_actions=len(reps),
+        orbit_count_without_scaling=len(orbit_representatives({"permute", "twist"})),
         canonical_representatives=reps,
         admissible_count=count_admissible(),
     )

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,18 @@ def test_verify_budget_exceeded(capsys, table_file):
     assert code == 4
     record = json.loads(captured.err)
     assert record["error"]["kind"] == "budget"
+
+
+def test_verify_sampled_budget_bounds_a_huge_count(capsys, table_file):
+    start = time.monotonic()
+    code = main(["verify", "--table", table_file, "--mode", "sampled=%d" % 10 ** 15,
+                 "--seed", "1", "--budget-seconds", "0.5"])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"]["kind"] == "budget"
+    assert elapsed < 5
 
 
 def test_malformed_json_reports_position(capsys, tmp_path):

@@ -68,6 +68,39 @@ def test_all_names_are_defined(path):
     assert not missing, "%s lists undefined names in __all__: %s" % (path.name, missing)
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads_of_other_modules(tree):
+    """(line, text) of each read of an underscore name of another qfermat module."""
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "qfermat"):
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if _is_private(alias.name):
+                    reads.append((node.lineno, "from %s import %s" % (source, alias.name)))
+                elif node.module in (None, "qfermat"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("qfermat."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            reads.append((node.lineno, "%s.%s" % (node.value.id, node.attr)))
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_of_other_modules(path):
+    reads = _private_reads_of_other_modules(_parse(path))
+    assert not reads, "%s reads private names of other qfermat modules: %s" % (
+        path.name, ", ".join("%s (line %d)" % (text, line) for line, text in reads))
+
+
 def test_readme_library_imports_resolve():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"from qfermat import \(([^)]*)\)", text)

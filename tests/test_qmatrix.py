@@ -6,6 +6,7 @@ import pytest
 from qfermat import qmatrix
 from qfermat.errors import PreconditionError
 from qfermat.qmatrix import (
+    ALL_ACTIONS,
     QMatrix,
     act_permute,
     act_scale,
@@ -18,8 +19,11 @@ from qfermat.qmatrix import (
     is_admissible,
     is_generic,
     orbit,
+    orbit_representatives,
     sample_admissible,
 )
+
+ACTION_SUBSETS = [set(c) for r in (1, 2, 3) for c in itertools.combinations(ALL_ACTIONS, r)]
 
 CANONICAL = QMatrix([
     (0, 0, 0, 0, 0),
@@ -200,10 +204,10 @@ def test_enumerated_matrices_satisfy_predicates():
 
 
 def test_enumeration_sorted_and_first_element():
-    gens = enumerate_generic()
-    flats = [m.flat() for m in gens]
-    assert flats == sorted(flats)
-    assert gens[0] == CANONICAL
+    for mats in (enumerate_generic(), enumerate_admissible()):
+        flats = [m.flat() for m in mats]
+        assert flats == sorted(flats)
+    assert enumerate_generic()[0] == CANONICAL
 
 
 def test_enumeration_agrees_with_predicates():
@@ -252,6 +256,57 @@ def test_orbit_of_canonical_is_everything_generic():
 def test_orbit_without_scaling_already_full():
     orb = orbit(CANONICAL, actions={"permute", "twist"})
     assert len(orb) == 3000
+
+
+def _bfs_orbit(start, actions):
+    """Closure of {start} under the generators, through the public actions."""
+    moves = []
+    if "scale" in actions:
+        moves.append(lambda m: act_scale(m, 2))
+    if "permute" in actions:
+        moves += [lambda m, s=s: act_permute(m, s) for s in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
+    if "twist" in actions:
+        moves += [lambda m, v=tuple(int(t == 0) - int(t == b) for t in range(5)): act_twist(m, v)
+                  for b in range(1, 5)]
+    seen, todo = {start}, [start]
+    while todo:
+        m = todo.pop()
+        for move in moves:
+            image = move(m)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def test_orbit_matches_bfs_over_public_actions():
+    # the generic orbit, a non-generic one of size 5000, and two twists of
+    # zero, whose orbit has 125 members; the BFS pays about 0.1 ms per member
+    # and move, so the non-generic orbit of size 7500 is left out
+    zero = QMatrix.zero()
+    mats = sample_admissible(2, seed=4) + [act_twist(zero, (1, 2, 0, 4, 3)),
+                                           act_twist(zero, (0, 1, 1, 4, 4))]
+    assert [is_generic(m) for m in mats] == [True, False, False, False]
+    assert [len(orbit(m)) for m in mats] == [3000, 5000, 125, 125]
+    for m in mats:
+        for actions in ACTION_SUBSETS:
+            orb = orbit(m, actions)
+            assert orb == _bfs_orbit(m, actions), (m, actions)
+            assert canonical_representative(m, actions) == min(orb)
+
+
+def test_orbit_representatives_per_action_subset():
+    counts = {}
+    for actions in ACTION_SUBSETS:
+        reps = orbit_representatives(actions)
+        assert reps == sorted(reps)
+        assert all(canonical_representative(r, actions) == r for r in reps)
+        assert sum(len(orbit(r, actions)) for r in reps) == 3000
+        counts[",".join(sorted(actions))] = len(reps)
+    assert counts == {
+        "scale": 750, "permute": 29, "twist": 24, "permute,scale": 16,
+        "scale,twist": 6, "permute,twist": 1, "permute,scale,twist": 1,
+    }
 
 
 def test_orbit_requires_admissible_start():

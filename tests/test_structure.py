@@ -169,6 +169,24 @@ def test_corrupted_exponent_detected_by_every_mode(canonical_table):
     assert not with_full.ok
 
 
+def test_recorded_violations_carry_both_cocycle_sides(canonical_table):
+    a, b = (0, 0, 1, 1, 3), (0, 1, 4, 4, 1)
+    old = int(canonical_table.coeff_exponent(a, b))
+    bad = canonical_table.replace_exponent(a, b, (old + 2) % 5)
+    exp = bad.exp.astype(np.int64)
+    s = bad.sum_idx
+    pos = indices.tables().index_of
+    for report in (verify_associativity(bad, "full", budget_seconds=300),
+                   verify_associativity(bad, "sampled=200000", seed=9)):
+        assert report.violations
+        for v in report.violations:
+            x, y, z = (pos[tuple(v[k])] for k in "abc")
+            assert v["kind"] == "cocycle"
+            assert v["lhs"] == (exp[x, y] + exp[s[x, y], z]) % 5
+            assert v["rhs"] == (exp[y, z] + exp[x, s[y, z]]) % 5
+            assert v["lhs"] != v["rhs"]
+
+
 def test_violation_reports_are_capped(canonical_table):
     exp = canonical_table.exp.copy()
     exp[1:50, 1:50] = (exp[1:50, 1:50] + 1) % 5
