@@ -267,7 +267,8 @@ def _cmd_normal_form(config: RunConfig):
 def _cmd_report(config: RunConfig):
     classification = qmatrix.classify()
     base = qmatrix.canonical_generic_representative()
-    certificate = structure.cy_certificate(base)
+    table = structure.build_table(base)
+    certificate = structure.cy_certificate(table)
 
     fifth_powers = [rewrite.normal_form((i,) * 5, base) for i in range(5)]
     relation_sum = fifth_powers[0]
@@ -312,7 +313,6 @@ def _cmd_report(config: RunConfig):
         "cohomology": coh,
     }
     if config.seed is not None:
-        table = structure.build_table(base)
         sampled = structure.verify_associativity(
             table, "sampled=100000", seed=config.seed)
         payload["sampled_verification"] = sampled.to_json()
@@ -393,10 +393,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", default="exact",
                    help="exact | full | sampled=N (default exact)")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed, required for sampled mode")
+                   help="nonnegative seed, required for sampled mode")
     p.add_argument("--budget-seconds", dest="budget_seconds", type=float, default=600.0,
-                   help="abort full or sampled mode after this many seconds "
-                        "(default 600)")
+                   help="abort full or sampled mode after this many seconds; "
+                        "a nonnegative number (default 600)")
 
     p = sub.add_parser("fiber", help="analyze the fiber algebra at a point")
     p.add_argument("--table", required=True, help="table JSON file")

@@ -9,8 +9,9 @@ coordinate tuples.
 
 Most scalars downstream are pure roots of unity, so there is a compact
 exponent-only fast path: carry a Mod5 exponent around and realize it with
-root_power only when a genuine field element is needed.  The two views must
-agree wherever both apply (root_power is a homomorphism from Z/5).
+root_power only when a genuine field element is needed, or apply it to one
+with times_root, a rotation of coordinates.  The two views must agree
+wherever both apply (root_power is a homomorphism from Z/5).
 """
 
 from __future__ import annotations
@@ -176,6 +177,22 @@ class CycNum:
         return CycNum((c0 - c4, c1 - c4, acc[2] - c4, acc[3] - c4))
 
     __rmul__ = __mul__
+
+    def times_root(self, k: int) -> "CycNum":
+        """self * zeta^k; equals self * root_power(k), in at most 4 subtractions.
+
+        Rotates the coordinates on 1, z, ..., z^4 by k places, then folds the
+        z^4 coordinate back through z^4 = -(1 + z + z^2 + z^3).
+        """
+        k = int(k) % 5
+        if not k:
+            return self
+        c = self.coeffs + (0,)
+        r = c[5 - k:] + c[:5 - k]
+        c4 = r[4]
+        if not c4:
+            return CycNum(r[:4])
+        return CycNum((r[0] - c4, r[1] - c4, r[2] - c4, r[3] - c4))
 
     def galois(self, k: int) -> "CycNum":
         """The field automorphism determined by z -> z^k, k in 1..4."""

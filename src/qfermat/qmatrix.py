@@ -17,10 +17,13 @@ permutation, and twisting by a zero-sum vector v (n_ij -> n_ij + v_i - v_j).
 
 The code of an admissible matrix is its free entries n01, n02, n03, n12,
 n13, n23 read as a base-5 number; every other entry is fixed by free entries
-before it in row-major order, so code order is row-major order.  Orbits are
-read from label[c], the least code in the orbit of code c, which
-min-propagation finds along seven generators: scaling by 2, the permutations
-(1,0,2,3,4) and (1,2,3,4,0), and the twists e_0 - e_b for b = 1..4.
+before it in row-major order, so code order is row-major order.  All 5^6
+matrices live in one int8 array indexed by code, genericity is decided for
+every code by one array expression over the 60 triples, and QMatrix objects
+are built only for the codes a caller asks for.  Orbits are read from
+label[c], the least code in the orbit of code c, which min-propagation finds
+along seven generators: scaling by 2, the permutations (1,0,2,3,4) and
+(1,2,3,4,0), and the twists e_0 - e_b for b = 1..4.
 
 The headline computation: there are exactly 15625 admissible matrices, 3000
 of them generic, and the generic ones form a single orbit, already under
@@ -200,13 +203,13 @@ _PLACES = 5 ** np.arange(5, -1, -1)
 
 
 def _from_free(free: np.ndarray) -> np.ndarray:
-    """(m, 6) free entries n01, n02, n03, n12, n13, n23 -> (m, 5, 5) entries in 0..4.
+    """(m, 6) free entries n01, n02, n03, n12, n13, n23 -> (m, 5, 5) int8 entries in 0..4.
 
     Skew symmetry fixes the lower triangle and zero row sums fix column 4;
     row 4 then sums to zero by itself, because the row sums of a skew matrix
     add up to zero.  So every result is admissible.
     """
-    ent = np.zeros((free.shape[0], 5, 5), dtype=np.int64)
+    ent = np.zeros((free.shape[0], 5, 5), dtype=np.int8)
     for p, (i, j) in enumerate(_FREE_PAIRS):
         ent[:, i, j] = free[:, p]
         ent[:, j, i] = -free[:, p]
@@ -215,38 +218,52 @@ def _from_free(free: np.ndarray) -> np.ndarray:
     return ent % 5
 
 
+@lru_cache(maxsize=1)
 def _all_entries() -> np.ndarray:
     """(5^6, 5, 5) entries of every admissible matrix; row c has code c."""
-    return _from_free(np.indices((5,) * 6).reshape(6, -1).T)
+    ent = _from_free(np.indices((5,) * 6).reshape(6, -1).T)
+    ent.setflags(write=False)
+    return ent
+
+
+def _matrices(codes: np.ndarray) -> List[QMatrix]:
+    """The admissible matrices with the given codes, in the order given."""
+    return [QMatrix(m) for m in _all_entries()[codes].tolist()]
 
 
 @lru_cache(maxsize=1)
-def _enumeration() -> Tuple[Tuple[QMatrix, ...], np.ndarray]:
-    """(the admissible matrices indexed by code, the codes of the generic ones)."""
-    admissible = tuple(QMatrix(m) for m in _all_entries().tolist())
-    generic = np.array([c for c, m in enumerate(admissible) if is_generic(m)])
-    return admissible, generic
+def _generic_codes() -> np.ndarray:
+    """Codes of the generic admissible matrices, ascending.
+
+    One int8 expression over all 5^6 matrices and the 60 triples: the value
+    n_ij + n_jk - n_ik lies in [-4, 8], so it is 0 mod 5 exactly when it is
+    0 or 5.
+    """
+    ent = _all_entries()
+    i, j, k = np.array(_TRIPLES).T
+    d = ent[:, i, j] + ent[:, j, k] - ent[:, i, k]
+    codes = np.flatnonzero(((d != 0) & (d != 5)).all(axis=1))
+    codes.setflags(write=False)
+    return codes
 
 
 def enumerate_generic() -> List[QMatrix]:
     """All admissible and generic matrices, sorted by row-major entries.
 
-    Builds the 5^6 admissible matrices from their six free entries and keeps
-    those that pass the 60-triple genericity test; the result is cached, so
-    only the first call pays for the construction.
+    The generic codes come from one cached array test over all 5^6
+    admissible matrices; each call builds QMatrix objects for those only.
     """
-    admissible, generic = _enumeration()
-    return [admissible[c] for c in generic]
+    return _matrices(_generic_codes())
 
 
 def enumerate_admissible() -> List[QMatrix]:
     """All admissible matrices (genericity not required), sorted."""
-    return list(_enumeration()[0])
+    return _matrices(np.arange(count_admissible()))
 
 
 def count_admissible() -> int:
     """Number of admissible matrices (genericity not required)."""
-    return len(_enumeration()[0])
+    return len(_all_entries())
 
 
 def sample_admissible(count: int, seed: int) -> List[QMatrix]:
@@ -314,8 +331,7 @@ def orbit(N, actions=ALL_ACTIONS) -> Set[QMatrix]:
         raise PreconditionError("orbit requires an admissible matrix")
     label = _labels(_check_actions(actions))
     code = sum(N.entries[i][j] * int(w) for (i, j), w in zip(_FREE_PAIRS, _PLACES))
-    admissible = _enumeration()[0]
-    return {admissible[c] for c in np.flatnonzero(label == label[code])}
+    return set(_matrices(np.flatnonzero(label == label[code])))
 
 
 def canonical_representative(N, actions=ALL_ACTIONS) -> QMatrix:
@@ -331,10 +347,10 @@ def orbit_representatives(actions=ALL_ACTIONS) -> List[QMatrix]:
     of orbits: exactly the generic codes share a label with a generic code.
     """
     label = _labels(_check_actions(actions))
-    admissible, generic = _enumeration()
+    generic = _generic_codes()
     in_generic_orbit = np.flatnonzero(np.isin(label, label[generic]))
     assert np.array_equal(in_generic_orbit, generic), "orbit left the generic set"
-    return [admissible[c] for c in np.unique(label[generic])]
+    return _matrices(np.unique(label[generic]))
 
 
 @dataclass
@@ -357,9 +373,10 @@ class ClassificationReport:
 
 def classify() -> ClassificationReport:
     """Partition the generic matrices into orbits and report the counts."""
+    generic_count = len(enumerate_generic())
     reps = orbit_representatives(ALL_ACTIONS)
     return ClassificationReport(
-        generic_count=len(enumerate_generic()),
+        generic_count=generic_count,
         orbit_count_all_actions=len(reps),
         orbit_count_without_scaling=len(orbit_representatives({"permute", "twist"})),
         canonical_representatives=reps,
@@ -370,4 +387,4 @@ def classify() -> ClassificationReport:
 @lru_cache(maxsize=1)
 def canonical_generic_representative() -> QMatrix:
     """Lex-min generic matrix; the canonical base point for downstream runs."""
-    return enumerate_generic()[0]
+    return _matrices(_generic_codes()[:1])[0]

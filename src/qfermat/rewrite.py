@@ -15,9 +15,12 @@ be read off without actually bubble-sorting.  Phase two replaces t_0^5 by
 fifth powers are central (zeta^{5 n_ij} = 1), so no commutation scalars
 appear in this phase, only signs.
 
-Coefficients stay in the exponent-only root-of-unity fast path through
-phase one and become full field elements only when the quintic relation
-introduces signs and sums.
+Phase one therefore yields one root of unity zeta^s, and phase two one
+integer sign per output monomial; normal_form takes their products
+zeta^s * sign from a small cache.  Wherever a coefficient meets a root of
+unity, CycNum.times_root rotates its coordinates instead of running the
+general field product, and multiply applies a sign of +1 or -1 as identity
+or negation, any other integer by ordinary scaling.
 """
 
 from __future__ import annotations
@@ -162,6 +165,12 @@ def _check_word(w: Sequence[int]) -> Tuple[int, ...]:
     return word
 
 
+@lru_cache(maxsize=1024)
+def _signed_root(s: int, sign: int) -> CycNum:
+    """zeta^s * sign for an exponent s in 0..4 and an integer sign."""
+    return root_power(s) * sign
+
+
 @lru_cache(maxsize=4096)
 def _eliminate_t0(e: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
     """Expand fifth powers of t_0 into the other generators, with signs.
@@ -214,11 +223,8 @@ def normal_form(w: Sequence[int], N: QMatrix) -> AlgElement:
             if word[p] > wq:
                 s += entries[word[p]][wq]
         counts[wq] += 1
-    root = root_power(s)
-    terms: Dict[Monomial, CycNum] = {}
-    for m, c in _eliminate_t0(tuple(counts)):
-        terms[m] = root * c
-    return AlgElement(terms)
+    s %= 5
+    return AlgElement({m: _signed_root(s, c) for m, c in _eliminate_t0(tuple(counts))})
 
 
 def multiply(x: AlgElement, y: AlgElement, N: QMatrix) -> AlgElement:
@@ -228,11 +234,11 @@ def multiply(x: AlgElement, y: AlgElement, N: QMatrix) -> AlgElement:
     acc: Dict[Monomial, CycNum] = {}
     for e, c in x.terms.items():
         for f, d in y.terms.items():
-            coeff = c * d * root_power(_cross_exponent(e, f, entries))
+            coeff = (c * d).times_root(_cross_exponent(e, f, entries))
             g = tuple(a + b for a, b in zip(e, f))
             for m, sign in _eliminate_t0(g):
                 prev = acc.get(m)
-                val = coeff * sign
+                val = coeff if sign == 1 else -coeff if sign == -1 else coeff * sign
                 acc[m] = val if prev is None else prev + val
     return AlgElement(acc)
 
@@ -270,7 +276,8 @@ def graded_dimension(n: int, N: Optional[QMatrix] = None) -> int:
 # randomized-schedule reference reducer (confluence witness)
 
 
-def _word_moves(word: Tuple[int, ...]):
+@lru_cache(maxsize=4096)
+def _word_moves(word: Tuple[int, ...]) -> Tuple[Tuple[str, int], ...]:
     """All applicable reducing moves: strict descents and t_0^5 runs."""
     moves = []
     for p in range(len(word) - 1):
@@ -281,7 +288,7 @@ def _word_moves(word: Tuple[int, ...]):
         run = run + 1 if letter == 0 else 0
         if run >= 5:
             moves.append(("quintic", p - 4))
-    return moves
+    return tuple(moves)
 
 
 def normal_form_random_schedule(w: Sequence[int], N: QMatrix, rng) -> AlgElement:
@@ -306,24 +313,17 @@ def normal_form_random_schedule(w: Sequence[int], N: QMatrix, rng) -> AlgElement
         coeff = state.pop(word)
         if kind == "swap":
             i, j = word[p], word[p + 1]
-            new = word[:p] + (j, i) + word[p + 2:]
-            add = coeff * root_power(entries[i][j])
+            moved = [(word[:p] + (j, i) + word[p + 2:], coeff.times_root(entries[i][j]))]
+        else:
+            neg = -coeff
+            moved = [(word[:p] + (k,) * 5 + word[p + 5:], neg) for k in range(1, 5)]
+        for new, add in moved:
             prev = state.get(new)
             total = add if prev is None else prev + add
             if total:
                 state[new] = total
             elif new in state:
                 del state[new]
-        else:
-            for k in range(1, 5):
-                new = word[:p] + (k,) * 5 + word[p + 5:]
-                add = -coeff
-                prev = state.get(new)
-                total = add if prev is None else prev + add
-                if total:
-                    state[new] = total
-                elif new in state:
-                    del state[new]
     acc: Dict[Monomial, CycNum] = {}
     for word, coeff in state.items():
         counts = [0] * 5

@@ -364,11 +364,16 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     sampled(n): evaluates n uniformly random triples, drawn a million at a
     time so that memory stays bounded; requires a seed.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
-    have passed, checked between batches of rows or triples.
+    have passed, checked between batches of rows or triples.  A negative
+    seed and a negative or NaN budget_seconds raise PreconditionError.
 
     Returns a truthy/falsy report carrying the violating triples, if any.
     """
     kind, count = parse_mode(mode)
+    if seed is not None and int(seed) < 0:
+        raise PreconditionError("seed must be nonnegative, got %r" % (seed,))
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise PreconditionError("budget_seconds must be >= 0, got %r" % (budget_seconds,))
     report = AssociativityReport(ok=True, mode=kind, checks=0)
     if kind == "exact-bilinear":
         _verify_exact_bilinear(table, report)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -168,6 +169,18 @@ def test_verify_sampled_budget_bounds_a_huge_count(capsys, table_file):
     assert elapsed < 5
 
 
+def test_bad_seed_or_budget_is_precondition_record(capsys, table_file):
+    for argv in (
+            ["verify", "--table", table_file, "--mode", "sampled=10", "--seed", "-1"],
+            ["report", "--seed", "-1"],
+            ["verify", "--table", table_file, "--mode", "full", "--budget-seconds", "nan"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.err)["error"]["kind"] == "precondition"
+
+
 def test_malformed_json_reports_position(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"entries": [nope]}')
@@ -326,6 +339,24 @@ def test_report_smoke(capsys):
     assert payload["cohomology"]["euler_matches_polynomial"] is True
     assert payload["cohomology"]["section_sum_matches_graded"] is True
     assert "sampled_verification" not in payload
+
+
+# SHA-256 of stdout recorded before genericity became one array test and
+# rewriting coefficients took the root-of-unity fast paths; a run of the same
+# code twice cannot catch a byte that such a change moves
+PINNED_STDOUT = {
+    ("report", "--seed", "1"):
+        "55a91e185b53d9c0072513cae888e4618ec38f07bd2527d9187c2f0a2bda36d7",
+    ("classify", "--actions", "permute,twist"):
+        "95fabd4c4146e26a40e34a92686577b82466e6c6a8a9e02e9be8f5327ae246e2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_stdout_matches_pinned_hash(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 def test_unknown_command(capsys):

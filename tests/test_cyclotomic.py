@@ -94,6 +94,15 @@ def test_field_axioms_random_triples():
         assert x * ZERO == ZERO
 
 
+def test_times_root_equals_general_product():
+    rng = np.random.default_rng(20261018)
+    samples = [ZERO, ONE] + [root_power(k) for k in range(5)]
+    samples += [random_cyc(rng) for _ in range(40)]
+    for x in samples:
+        for k in range(-5, 11):
+            assert x.times_root(k) == x * root_power(k)
+
+
 def test_inverse_roundtrip_random():
     rng = np.random.default_rng(7)
     seen_nonzero = 0

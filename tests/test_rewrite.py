@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from qfermat.cyclotomic import CycNum, ONE, root_power
 from qfermat.errors import PreconditionError
-from qfermat.qmatrix import QMatrix
+from qfermat.indices import enumerate_index_set
+from qfermat.qmatrix import QMatrix, sample_admissible
 from qfermat.rewrite import (
     AlgElement,
     graded_dimension,
@@ -14,6 +16,7 @@ from qfermat.rewrite import (
     normal_form,
     normal_form_random_schedule,
 )
+from qfermat.structure import build_table
 
 CANONICAL = QMatrix([
     (0, 0, 0, 0, 0),
@@ -137,6 +140,47 @@ def test_multiply_matches_word_concatenation():
         v = tuple(int(x) for x in rng.integers(0, 5, size=rng.integers(0, 5)))
         left = multiply(normal_form(u, CANONICAL), normal_form(v, CANONICAL), CANONICAL)
         assert left == normal_form(u + v, CANONICAL)
+
+
+def test_multiply_with_field_coefficients_matches_general_product():
+    # Fraction coordinates take the coefficients off the roots of unity, and
+    # words with ten or more t_0 give quintic signs of 2
+    assert CycNum((2, 0, 0, 0)) in normal_form((0,) * 10, CANONICAL).terms.values()
+    rng = np.random.default_rng(707)
+
+    def coeff():
+        return CycNum([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                       for _ in range(4)])
+
+    def word(zeros):
+        letters = [0] * zeros + [int(x) for x in rng.integers(0, 5, size=rng.integers(0, 6))]
+        return tuple(int(x) for x in rng.permutation(letters))
+
+    for k in range(40):
+        u, v = word(10 if k % 4 == 0 else 0), word(10 if k % 4 == 1 else 0)
+        c, d = coeff(), coeff()
+        x, y = normal_form(u, CANONICAL), normal_form(v, CANONICAL)
+        assert multiply(x.scale(c), y.scale(d), CANONICAL) == \
+            normal_form(u + v, CANONICAL).scale(c * d)
+
+
+def test_multiply_matches_structure_table():
+    # two copies of the bilinear form E(a, b): the table's exponents and the
+    # rewriting system's commutation scalars; without a t_0 carry they agree
+    rng = np.random.default_rng(31)
+    index = [tuple(a.digits) for a in enumerate_index_set()]
+    for N in [CANONICAL] + sample_admissible(3, seed=5):
+        table = build_table(N)
+        checked = 0
+        for i, j in rng.integers(0, 625, size=(1500, 2)):
+            a, b = index[i], index[j]
+            if a[0] + b[0] > 4:
+                continue
+            product = multiply(AlgElement.monomial(a), AlgElement.monomial(b), N)
+            target = tuple(x + y for x, y in zip(a, b))
+            assert product == AlgElement.monomial(target, table.coefficient(a, b))
+            checked += 1
+        assert checked > 500
 
 
 def test_multiply_distributes():

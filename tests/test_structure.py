@@ -127,6 +127,14 @@ def test_full_triple_budget_enforced(canonical_table):
         verify_associativity(canonical_table, "full", budget_seconds=0.01)
 
 
+def test_verify_rejects_negative_seed_and_bad_budget(canonical_table):
+    with pytest.raises(PreconditionError):
+        verify_associativity(canonical_table, "sampled=10", seed=-1)
+    for budget in (float("nan"), -1.0):
+        with pytest.raises(PreconditionError):
+            verify_associativity(canonical_table, "full", budget_seconds=budget)
+
+
 def test_sampled_requires_seed(canonical_table):
     with pytest.raises(PreconditionError):
         verify_associativity(canonical_table, "sampled=100")
