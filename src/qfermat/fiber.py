@@ -140,9 +140,9 @@ class FiberAlgebra:
 
     scalar(i, j) is the full product coefficient (root of unity times
     evaluated carry monomial) and target(i, j) the basis position of the
-    product, for basis positions i, j in lex order of the index set.  The
-    carry monomials are looked up through the shared carry_code bitmasks of
-    the index tables.
+    product, for basis positions i, j in lex order of the index set.  Targets
+    and carry monomials are looked up through the shared sum_idx and
+    carry_code arrays of the index tables.
     """
 
     def __init__(self, table: StructureTable, point: FiberPoint):
@@ -150,6 +150,7 @@ class FiberAlgebra:
         self.point = point
         self.dim = 625
         self.unit_index = 0
+        self.sum_idx = indices.tables().sum_idx
         self.carry_code = indices.tables().carry_code
 
         subset_vals: List[CycNum] = []
@@ -188,7 +189,7 @@ class FiberAlgebra:
         return self._coeff_cache[self.carry_code[i, j]][self.table.exp[i, j]]
 
     def target(self, i: int, j: int) -> int:
-        return int(self.table.sum_idx[i, j])
+        return int(self.sum_idx[i, j])
 
     def coefficient(self, a, b) -> CycNum:
         """Product coefficient by multi-index (accepts digit tuples too)."""
@@ -311,23 +312,19 @@ def center_dim(F: Algebra, method: Optional[str] = None) -> int:
 
 def _s_values_int(F: FiberAlgebra) -> np.ndarray:
     """Exact (625, 5) accumulator: row a holds the rational coefficients of
-    trace(L_{e_a} L_{e_{-a}}) on the root basis 1, z, z^2, z^3, z^4."""
-    t = indices.tables()
-    neg = t.neg
-    exp = F.table.exp.astype(np.int64)
-    sum_idx = t.sum_idx
-    code = F.carry_code
+    trace(L_{e_a} L_{e_{-a}}) on the root basis 1, z, z^2, z^3, z^4, built
+    125 rows at a time so that its int64 temporaries stay small."""
+    neg = indices.tables().neg
+    exp, sum_idx, code = F.table.exp, F.sum_idx, F.carry_code
     mono = F._subset_ints
-    rows = np.arange(625)[:, None]
-    e1 = exp[neg]
-    m1 = mono[code[neg]]
-    sc = sum_idx[neg]
-    e2 = exp[rows, sc]
-    m2 = mono[code[rows, sc]]
-    term = m1 * m2
-    eexp = (e1 + e2) % 5
     acc = np.zeros((625, 5), dtype=np.int64)
-    np.add.at(acc, (np.broadcast_to(rows, eexp.shape), eexp), term)
+    for lo in range(0, 625, 125):
+        rows = np.arange(lo, lo + 125)[:, None]
+        b = neg[lo:lo + 125]
+        sc = sum_idx[b]
+        term = mono[code[b]] * mono[code[rows, sc]]
+        eexp = (exp[b] + exp[rows, sc]) % 5
+        np.add.at(acc, (np.broadcast_to(rows, eexp.shape), eexp), term)
     return acc
 
 

@@ -181,7 +181,7 @@ class IndexTables:
     """Read-only numpy views of the index monoid, shared across modules.
 
     Every structure table reads its targets and carries from these arrays
-    and holds no copy of them; fiber algebras read carry_code.
+    and holds no copy of them; fiber algebras read sum_idx and carry_code.
 
     Attributes (all indexed by the lex position of the index):
       idx       (625, 5) int64   digit rows
@@ -193,29 +193,34 @@ class IndexTables:
       carry_code (625, 625) uint8 carry flags packed as a bitmask
       comp      (625,)   int32   position of (4,...,4) - a
       neg       (625,)   int32   position of the additive inverse
+
+    A position is the first four digits read in base 5, so the pair tables
+    are built one digit at a time from (625, 625) uint8 digit sums s: sum_idx
+    by Horner's rule on s mod 5, and carry, ncarry and carry_code from the
+    flags s >= 5.  No temporary is larger than (625, 625) uint8.
     """
 
     def __init__(self):
-        idx = np.array([m.digits for m in _index_list()], dtype=np.int64)
-        key_weights = 5 ** np.arange(4, -1, -1, dtype=np.int64)
-        lut = np.full(5 ** 5, -1, dtype=np.int32)
-        lut[idx @ key_weights] = np.arange(625, dtype=np.int32)
+        self.idx = idx = np.array([m.digits for m in _index_list()], dtype=np.int64)
+        digits = idx.astype(np.uint8)
+        self.sum_idx = np.zeros((625, 625), dtype=np.int32)
+        self.carry = np.empty((625, 625, 5), dtype=bool)
+        self.ncarry = np.zeros((625, 625), dtype=np.int8)
+        self.carry_code = np.zeros((625, 625), dtype=np.uint8)
+        for k in range(5):
+            s = digits[:, None, k] + digits[None, :, k]
+            self.carry[:, :, k] = c = s >= 5
+            self.ncarry += c
+            self.carry_code |= c.view(np.uint8) << k
+            if k < 4:
+                self.sum_idx *= 5
+                self.sum_idx += s % 5
 
-        sums = idx[:, None, :] + idx[None, :, :]
-        carry = sums >= 5
-        red = sums % 5
-        sum_idx = lut[red @ key_weights]
-        assert (sum_idx >= 0).all(), "index set must be closed under addition"
-
-        self.idx = idx
-        self.index_of = {tuple(int(x) for x in row): i for i, row in enumerate(idx)}
+        place = 5 ** np.arange(3, -1, -1)
+        self.index_of = {m.digits: i for i, m in enumerate(_index_list())}
         self.weight = idx.sum(axis=1) // 5
-        self.sum_idx = sum_idx
-        self.carry = carry
-        self.ncarry = carry.sum(axis=2).astype(np.int8)
-        self.carry_code = (carry.astype(np.uint8) @ (1 << np.arange(5, dtype=np.uint8)))
-        self.comp = lut[(4 - idx) @ key_weights]
-        self.neg = lut[((-idx) % 5) @ key_weights]
+        self.comp = ((4 - idx[:, :4]) @ place).astype(np.int32)
+        self.neg = ((-idx[:, :4] % 5) @ place).astype(np.int32)
 
         for arr in (self.idx, self.weight, self.sum_idx, self.carry,
                     self.ncarry, self.carry_code, self.comp, self.neg):

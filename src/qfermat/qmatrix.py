@@ -115,6 +115,12 @@ class QMatrix:
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":
+        """Read a 5x5 list of JSON integers; a float or a bool entry is a
+        ValueError, not a truncated or coerced value."""
+        for row in data:
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError("matrix entries must be integers, got %r" % (x,))
         return cls(data)
 
     def __eq__(self, other):

@@ -22,7 +22,9 @@ the 625 antidiagonal pairs is equivalent to all row sums being equal mod 5.
 
 Exponents are stored as a (625, 625) int8 array and realized as field
 elements only at API boundaries; targets and carries are the shared arrays
-of the index module.
+of the index module.  The verification kernels work in int8 in place: a
+cocycle or linearity defect lies in [-8, 8], so it is 0 mod 5 exactly when
+its absolute value is 0 or 5; recorded violations recompute both sides.
 """
 
 from __future__ import annotations
@@ -62,14 +64,18 @@ def exponent_matrix(N: QMatrix) -> np.ndarray:
 
     Low-level helper: no admissibility requirement, any 5x5 integer matrix
     works.  Values are exact: the entries are reduced mod 5 as integers
-    first, so the float64 BLAS product only sees small integers.
+    first, so the float64 BLAS product only sees small integers, at most
+    640; it is reduced in int16, in place, and the (625, 625) float64
+    product is the only large temporary.
     """
     t = indices.tables()
     N = N if isinstance(N, QMatrix) else QMatrix(N)
     lower = np.tril(np.array(N.entries, dtype=np.float64), -1)
     a = t.idx.astype(np.float64)
     e = (a @ lower) @ a.T
-    return (np.rint(e).astype(np.int64) % 5).astype(np.int8)
+    e = np.rint(e, out=e).astype(np.int16)
+    e %= 5
+    return e.astype(np.int8)
 
 
 class StructureTable:
@@ -232,6 +238,17 @@ def _find_cocycle_violation(table: StructureTable, a: int, b: int) -> Optional[d
     return None
 
 
+def _nonlinear(exp: np.ndarray, sum_c: np.ndarray, c: int) -> np.ndarray:
+    """Mask of (a, b) with E(a, b+c) != E(a,b) + E(a,c) mod 5, for sum_c the
+    positions of b+c.  Works in int8 in place: the difference lies in
+    [-8, 4], so it is 0 mod 5 exactly when its absolute value is 0 or 5."""
+    d = exp[:, sum_c]
+    d -= exp
+    d -= exp[:, c, None]
+    np.abs(d, out=d)
+    return (d != 0) & (d != 5)
+
+
 def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -> None:
     # the cap applies to the report as a whole, not per section
     def record(violation: dict) -> None:
@@ -251,27 +268,23 @@ def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -
     if mism.size:
         report.ok = False
 
-    # linearity witnesses on the stored exponents: additive in each slot
-    exp = table.exp.astype(np.int16)
-    s = table.sum_idx
+    # linearity witnesses on the stored exponents, additive in each slot; the
+    # second slot of the transpose is the first slot of the table
+    exp, s = table.exp, table.sum_idx
+    exp_t = np.ascontiguousarray(exp.T)
     for c in range(_WITNESS_COUNT):
-        bc = s[:, c]
-        lhs = exp[:, bc]
-        rhs = exp + exp[:, c][:, None]
-        col_bad = np.argwhere((lhs - rhs) % 5 != 0)
-        ac = s[c, :]
-        lhs2 = exp[ac, :]
-        rhs2 = exp + exp[c, :][None, :]
-        row_bad = np.argwhere((lhs2 - rhs2) % 5 != 0)
+        col_bad = _nonlinear(exp, s[c], c)
+        row_bad = _nonlinear(exp_t, s[c], c).T
         report.checks += 2 * 625 * 625
-        for i, j in col_bad[:2]:
-            record(_violation(
-                "linearity", int(i), int(j), c, lhs[i, j] % 5, rhs[i, j] % 5))
-        for i, j in row_bad[:2]:
-            record(_violation(
-                "linearity", int(i), int(j), c, lhs2[i, j] % 5, rhs2[i, j] % 5))
-        if col_bad.size or row_bad.size:
-            report.ok = False
+        if not (col_bad.any() or row_bad.any()):
+            continue
+        report.ok = False
+        for i, j in np.argwhere(col_bad)[:2]:
+            record(_violation("linearity", int(i), int(j), c, exp[i, s[j, c]],
+                              (exp[i, j] + exp[i, c]) % 5))
+        for i, j in np.argwhere(row_bad)[:2]:
+            record(_violation("linearity", int(i), int(j), c, exp[s[c, i], j],
+                              (exp[i, j] + exp[c, j]) % 5))
 
 
 def _check_budget(kind: str, start: float, budget_seconds: Optional[float]) -> None:
@@ -303,26 +316,31 @@ def _verify_full_triple(table: StructureTable, report: AssociativityReport,
 
 # triples drawn per batch; a count up to this size draws the (3, n) stream at once
 _SAMPLE_CHUNK = 1_000_000
+# triples evaluated at a time, so the temporaries stay small next to the draw
+_SAMPLE_SLICE = 1 << 16
 
 
 def _verify_sampled(table: StructureTable, n: int, seed: int,
                     report: AssociativityReport, budget_seconds: Optional[float]) -> None:
     start = time.monotonic()
     rng = np.random.default_rng(seed)
-    exp = table.exp.astype(np.int16)
-    s = table.sum_idx
+    exp, s = table.exp, table.sum_idx
     for lo in range(0, n, _SAMPLE_CHUNK):
         _check_budget("sampled", start, budget_seconds)
-        a, b, c = rng.integers(0, 625, size=(3, min(_SAMPLE_CHUNK, n - lo)))
-        lhs = exp[a, b] + exp[s[a, b], c]
-        rhs = exp[b, c] + exp[a, s[b, c]]
-        bad = np.nonzero((lhs - rhs) % 5)[0]
-        report.checks += len(a)
-        for t in bad[:_MAX_RECORDED_VIOLATIONS - len(report.violations)]:
-            report.violations.append(
-                _cocycle_violation(table, int(a[t]), int(b[t]), int(c[t])))
-        if bad.size:
-            report.ok = False
+        draw = rng.integers(0, 625, size=(3, min(_SAMPLE_CHUNK, n - lo)))
+        for t0 in range(0, draw.shape[1], _SAMPLE_SLICE):
+            a, b, c = draw[:, t0:t0 + _SAMPLE_SLICE]
+            d = exp[a, b] + exp[s[a, b], c]
+            d -= exp[b, c]
+            d -= exp[a, s[b, c]]
+            np.abs(d, out=d)
+            bad = np.flatnonzero((d != 0) & (d != 5))
+            report.checks += len(a)
+            for t in bad[:_MAX_RECORDED_VIOLATIONS - len(report.violations)]:
+                report.violations.append(
+                    _cocycle_violation(table, int(a[t]), int(b[t]), int(c[t])))
+            if bad.size:
+                report.ok = False
 
 
 def parse_mode(mode: str) -> Tuple[str, Optional[int]]:
@@ -362,7 +380,8 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     full-triple: evaluates both sides of the cocycle identity
     E(a,b) + E(a+b,c) = E(b,c) + E(a,b+c) on all 625^3 triples.
     sampled(n): evaluates n uniformly random triples, drawn a million at a
-    time so that memory stays bounded; requires a seed.
+    time and evaluated 2^16 at a time so that memory stays bounded;
+    requires a seed.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
     have passed, checked between batches of rows or triples.  A negative
     seed and a negative or NaN budget_seconds raise PreconditionError.

@@ -193,6 +193,29 @@ def test_malformed_json_reports_position(capsys, tmp_path):
     assert record["error"]["position"]["col"] > 1
 
 
+@pytest.mark.parametrize("literal", ["1e400", "1.5", "true"])
+def test_non_integer_matrix_entry_is_parse_record(capsys, tmp_path, table_file,
+                                                 canonical_matrix, literal):
+    # entry (1, 2) of the canonical matrix is 1, so truncating 1.5 or reading
+    # true as 1 would pass silently; 1e400 overflowed int() with a traceback
+    rows = canonical_matrix.to_json()
+    rows[1][2] = "@"
+    with open(table_file) as fh:
+        table = json.load(fh)
+    table["source_matrix"] = rows
+    for name, data, argv in (
+            ("matrix.json", rows, ["build-table", "--out", str(tmp_path / "t.json"),
+                                   "--matrix"]),
+            ("table.json", table, ["verify", "--table"])):
+        path = tmp_path / name
+        path.write_text(json.dumps(data).replace('"@"', literal))
+        code = main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, name
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["kind"] == "parse"
+
+
 def test_missing_file_is_parse_error(capsys, tmp_path):
     code = main(["verify", "--table", str(tmp_path / "absent.json")])
     captured = capsys.readouterr()

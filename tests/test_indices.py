@@ -183,3 +183,31 @@ def test_shared_tables_are_readonly():
         t.sum_idx[0, 0] = 1
     with pytest.raises(ValueError):
         t.carry[0, 0, 0] = True
+
+
+def test_tables_match_their_definition_on_all_pairs():
+    # every pair array against index_add, and comp/neg against complement and
+    # digitwise negation, read back through the digit rows
+    t = indices.tables()
+    pos = t.index_of
+    elems = enumerate_index_set()
+    bits = np.arange(5, dtype=np.uint8)
+    for i, a in enumerate(elems):
+        sums = [index_add(a, b) for b in elems]
+        target = np.array([pos[s.digits] for s, _ in sums])
+        flags = np.array([c.flags for _, c in sums])
+        assert (t.sum_idx[i] == target).all(), i
+        assert (t.carry[i] == flags).all(), i
+        assert (t.ncarry[i] == flags.sum(axis=1)).all(), i
+        assert ((t.carry_code[i, :, None] >> bits & 1) == flags).all(), i
+        assert t.comp[i] == pos[complement(a).digits]
+        assert t.neg[i] == pos[tuple((-d) % 5 for d in a)]
+        assert (t.idx[i] == a.digits).all() and t.weight[i] == weight(a)
+    expected = {"idx": (np.int64, (625, 5)), "weight": (np.int64, (625,)),
+                "sum_idx": (np.int32, (625, 625)), "carry": (bool, (625, 625, 5)),
+                "ncarry": (np.int8, (625, 625)), "carry_code": (np.uint8, (625, 625)),
+                "comp": (np.int32, (625,)), "neg": (np.int32, (625,))}
+    for name, (dtype, shape) in expected.items():
+        arr = getattr(t, name)
+        assert arr.dtype == dtype and arr.shape == shape, name
+        assert not arr.flags.writeable, name

@@ -1,0 +1,43 @@
+"""Peak-memory budgets of the array kernels, measured with tracemalloc.
+
+numpy reports its data buffers to tracemalloc, so a peak counts every array
+a kernel allocates, temporaries included.  Each budget sits between the
+kernel's peak and that of an int64-temporary version of it.
+"""
+
+import tracemalloc
+
+from qfermat import fiber, indices, structure
+
+MIB = 1 << 20
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+
+
+def test_index_tables_build_in_small_temporaries():
+    indices.tables()  # the cached digit rows are not part of the budget
+    assert _peak_mib(indices.IndexTables) <= 10
+
+
+def test_exponent_matrix_and_exact_bilinear_budget(canonical_matrix, canonical_table):
+    assert _peak_mib(lambda: structure.exponent_matrix(canonical_matrix)) <= 5
+    assert _peak_mib(
+        lambda: structure.verify_associativity(canonical_table, "exact")) <= 5
+
+
+def test_sampled_budget_is_the_draw_plus_small_slices(canonical_table):
+    # the (3, 10^6) int64 draw alone takes 22.9 MiB
+    assert _peak_mib(lambda: structure.verify_associativity(
+        canonical_table, "sampled=1000000", seed=7)) <= 28
+
+
+def test_integer_point_radical_budget(canonical_table):
+    F = fiber.specialize(canonical_table, (1, -1, 0, 0, 0))
+    assert _peak_mib(lambda: fiber.radical_dim(F)) <= 8

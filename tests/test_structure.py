@@ -4,7 +4,7 @@ import pytest
 from qfermat import indices, structure
 from qfermat.cyclotomic import root_power
 from qfermat.errors import BudgetExceededError, PreconditionError
-from qfermat.indices import complement
+from qfermat.indices import complement, index_add
 from qfermat.qmatrix import QMatrix, act_twist, sample_admissible
 from qfermat.structure import (
     build_table,
@@ -202,6 +202,77 @@ def test_violation_reports_are_capped(canonical_table):
     report = verify_associativity(bad)
     assert not report.ok
     assert len(report.violations) <= 20
+
+
+def _flipped(table, positions):
+    # a copy of the table with each listed exponent moved by 1..4
+    exp = table.exp.copy()
+    rows, cols = positions
+    exp[rows, cols] = (exp[rows, cols] + 1 + np.arange(len(rows)) % 4) % 5
+    return structure.StructureTable(table.source_matrix, exp)
+
+
+def _corrupted_pair(table, first_pair):
+    # one flipped exponent, and 0.1 % of the entries flipped at a fixed seed
+    rng = np.random.default_rng(808)
+    many = np.nonzero(rng.random((625, 625)) < 0.001)
+    return _flipped(table, ([first_pair[0]], [first_pair[1]])), _flipped(table, many)
+
+
+def test_sampled_records_are_first_bad_triples(canonical_table):
+    n, seed = 150001, 23  # more than two slices of 2^16, not a multiple of it
+    a, b, c = np.random.default_rng(seed).integers(0, 625, (3, n))
+    digits = indices.tables().idx.tolist()
+    s = indices.tables().sum_idx.tolist()
+    for bad in _corrupted_pair(canonical_table, (a[0], b[0])):
+        E = bad.exp.tolist()
+        expected = []
+        for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()):
+            lhs = (E[x][y] + E[s[x][y]][z]) % 5
+            rhs = (E[y][z] + E[x][s[y][z]]) % 5
+            if lhs != rhs:
+                expected.append({"kind": "cocycle", "a": digits[x], "b": digits[y],
+                                 "c": digits[z], "lhs": lhs, "rhs": rhs})
+                if len(expected) == 20:
+                    break
+        report = verify_associativity(bad, "sampled=%d" % n, seed=seed)
+        assert expected
+        assert report.violations == expected
+        assert not report.ok and report.checks == n
+
+
+def test_exact_bilinear_records_match_definitions(canonical_matrix, canonical_table):
+    n = canonical_matrix.entries
+    pos = indices.tables().index_of
+
+    def definition(a, b):
+        return sum(n[i][j] * a[i] * b[j] for i in range(5) for j in range(i)) % 5
+
+    def plus(a, b):
+        return list(index_add(a, b)[0])
+
+    one, many = _corrupted_pair(canonical_table, (37, 412))
+    for bad in (one, many):
+        def E(a, b):
+            return int(bad.exp[pos[tuple(a)], pos[tuple(b)]])
+
+        report = verify_associativity(bad, "exact")
+        assert not report.ok and len(report.violations) == 20
+        for v in report.violations:
+            a, b, c, lhs, rhs = v["a"], v["b"], v.get("c"), v["lhs"], v["rhs"]
+            assert lhs != rhs and 0 <= lhs < 5 and 0 <= rhs < 5
+            if v["kind"] == "cocycle":
+                assert lhs == (E(a, b) + E(plus(a, b), c)) % 5
+                assert rhs == (E(b, c) + E(a, plus(b, c))) % 5
+            elif v["kind"] == "bilinear-form":
+                assert (lhs, rhs) == (E(a, b), definition(a, b))
+            else:
+                assert v["kind"] == "linearity"
+                assert (lhs, rhs) in (
+                    (E(a, plus(b, c)), (E(a, b) + E(a, c)) % 5),
+                    (E(plus(a, c), b), (E(a, b) + E(c, b)) % 5))
+    kinds = [v["kind"] for v in verify_associativity(one, "exact").violations]
+    assert kinds[0] == "cocycle" and kinds.count("linearity") == 19
 
 
 # ---------------------------------------------------------
