@@ -77,13 +77,21 @@ _TRIPLES: Tuple[Tuple[int, int, int], ...] = tuple(
 assert len(_TRIPLES) == 60
 
 
+def _residue(x) -> int:
+    """x mod 5 for a Python or numpy integer; any other entry, a bool or an
+    integral float included, is a ValueError, not a truncated value."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError("matrix entries must be integers, got %r" % (x,))
+    return int(x) % 5
+
+
 class QMatrix:
     """Immutable 5x5 exponent matrix with entries reduced into {0..4}."""
 
     __slots__ = ("entries",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        es = tuple(tuple(int(x) % 5 for x in row) for row in rows)
+        es = tuple(tuple(_residue(x) for x in row) for row in rows)
         if len(es) != 5 or any(len(r) != 5 for r in es):
             raise ValueError("a quantum parameter matrix is 5x5")
         self.entries = es
@@ -95,7 +103,7 @@ class QMatrix:
     @classmethod
     def from_upper(cls, upper: Sequence[int]) -> "QMatrix":
         """Skew matrix from the 10 strictly-upper entries, row-major order."""
-        u = [int(x) % 5 for x in upper]
+        u = [_residue(x) for x in upper]
         if len(u) != 10:
             raise ValueError("expected 10 upper-triangular entries")
         rows = [[0] * 5 for _ in range(5)]
@@ -116,11 +124,7 @@ class QMatrix:
     @classmethod
     def from_json(cls, data) -> "QMatrix":
         """Read a 5x5 list of JSON integers; a float or a bool entry is a
-        ValueError, not a truncated or coerced value."""
-        for row in data:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ValueError("matrix entries must be integers, got %r" % (x,))
+        ValueError, as in the constructor."""
         return cls(data)
 
     def __eq__(self, other):

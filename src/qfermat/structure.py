@@ -25,6 +25,10 @@ elements only at API boundaries; targets and carries are the shared arrays
 of the index module.  The verification kernels work in int8 in place: a
 cocycle or linearity defect lies in [-8, 8], so it is 0 mod 5 exactly when
 its absolute value is 0 or 5; recorded violations recompute both sides.
+A position is four base-5 digits, so translating every index by b rolls
+the four digit axes: the full-triple and linearity kernels read shifted
+terms such as E(a+b, c) and E(a, b+c) as rows or columns of E translated
+by one index, never through a gather by the sum index.
 """
 
 from __future__ import annotations
@@ -238,13 +242,22 @@ def _find_cocycle_violation(table: StructureTable, a: int, b: int) -> Optional[d
     return None
 
 
-def _nonlinear(exp: np.ndarray, sum_c: np.ndarray, c: int) -> np.ndarray:
-    """Mask of (a, b) with E(a, b+c) != E(a,b) + E(a,c) mod 5, for sum_c the
-    positions of b+c.  Works in int8 in place: the difference lies in
-    [-8, 4], so it is 0 mod 5 exactly when its absolute value is 0 or 5."""
-    d = exp[:, sum_c]
+def _translate(x: np.ndarray, b: int, axis: int = 0) -> np.ndarray:
+    """Copy of x with its index axis translated by the index at position b:
+    along axis 0, row a of the result is row a+b of x.  A position is four
+    base-5 digits, so the translation rolls each digit axis."""
+    shape = x.shape[:axis] + (5, 5, 5, 5) + x.shape[axis + 1:]
+    shift = np.negative(np.unravel_index(b, (5, 5, 5, 5)))
+    return np.roll(x.reshape(shape), shift, axis=tuple(range(axis, axis + 4))).reshape(x.shape)
+
+
+def _nonlinear(exp: np.ndarray, c: int) -> np.ndarray:
+    """Mask of (a, b) with E(a+c, b) != E(a,b) + E(c,b) mod 5.  Works in int8
+    in place: the difference lies in [-8, 4], so it is 0 mod 5 exactly when
+    its absolute value is 0 or 5."""
+    d = _translate(exp, c)
     d -= exp
-    d -= exp[:, c, None]
+    d -= exp[c]
     np.abs(d, out=d)
     return (d != 0) & (d != 5)
 
@@ -269,12 +282,12 @@ def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -
         report.ok = False
 
     # linearity witnesses on the stored exponents, additive in each slot; the
-    # second slot of the transpose is the first slot of the table
+    # first slot of the transpose is the second slot of the table
     exp, s = table.exp, table.sum_idx
     exp_t = np.ascontiguousarray(exp.T)
     for c in range(_WITNESS_COUNT):
-        col_bad = _nonlinear(exp, s[c], c)
-        row_bad = _nonlinear(exp_t, s[c], c).T
+        col_bad = _nonlinear(exp_t, c).T
+        row_bad = _nonlinear(exp, c)
         report.checks += 2 * 625 * 625
         if not (col_bad.any() or row_bad.any()):
             continue
@@ -296,22 +309,37 @@ def _verify_full_triple(table: StructureTable, report: AssociativityReport,
                         budget_seconds: Optional[float]) -> None:
     start = time.monotonic()
     exp = table.exp
-    s = table.sum_idx.astype(np.intp)  # gathers by intp run faster than by int32
-    for a in range(625):
-        _check_budget("full-triple", start, budget_seconds)
-        # row a of E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c), in int8: the values
-        # lie in [-8, 8], so they are 0 mod 5 exactly when |d| is 0 or 5
-        d = exp[s[a]]
-        d += exp[a][:, None]
-        d -= exp
-        d -= exp[a][s]
-        np.abs(d, out=d)
-        bad = (d != 0) & (d != 5)
-        report.checks += 625 * 625
-        if bad.any():
-            report.ok = False
-            for b, c in np.argwhere(bad)[:_MAX_RECORDED_VIOLATIONS - len(report.violations)]:
-                report.violations.append(_cocycle_violation(table, a, int(b), int(c)))
+    # For b = 25 * high + low, E(a+b, c) and E(a, b+c) are E with its rows,
+    # and its columns, translated by b.  Translating by low rolls the two low
+    # digit axes; repeating the result twice along the two high digit axes
+    # turns the translation by high into a slice.
+    d = np.empty((625, 625), dtype=np.int8)
+    found = []
+    for low in range(25):
+        rows = np.tile(_translate(exp, low).reshape(5, 5, 25, 625), (2, 2, 1, 1))
+        cols = np.tile(_translate(exp, low, axis=1).reshape(625, 5, 5, 25), (1, 2, 2, 1))
+        for high in range(25):
+            _check_budget("full-triple", start, budget_seconds)
+            b, (h0, h1) = 25 * high + low, divmod(high, 5)
+            # the (a, c) slab of E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) in
+            # int8, with a and c each split as (5, 5, 25) so that both slices
+            # stay views; the values lie in [-8, 8], so they are 0 mod 5
+            # exactly when |d| is 0 or 5
+            np.subtract(rows[h0:h0 + 5, h1:h1 + 5].reshape(5, 5, 25, 5, 5, 25),
+                         cols[:, h0:h0 + 5, h1:h1 + 5].reshape(5, 5, 25, 5, 5, 25),
+                         out=d.reshape(5, 5, 25, 5, 5, 25))
+            d += exp[:, b, None]
+            d -= exp[b]
+            np.abs(d, out=d)
+            bad = (d != 0) & (d != 5)
+            report.checks += 625 * 625
+            if bad.any():
+                report.ok = False
+                found.extend((ac // 625, b, ac % 625) for ac in
+                             np.flatnonzero(bad)[:_MAX_RECORDED_VIOLATIONS].tolist())
+    # the first records of each b include the first records of all triples
+    for a, b, c in sorted(found)[:_MAX_RECORDED_VIOLATIONS - len(report.violations)]:
+        report.violations.append(_cocycle_violation(table, a, b, c))
 
 
 # triples drawn per batch; a count up to this size draws the (3, n) stream at once
@@ -378,12 +406,15 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     of the source matrix on all 625^2 pairs, with linearity witnesses;
     bilinearity implies the cocycle identity on all triples.
     full-triple: evaluates both sides of the cocycle identity
-    E(a,b) + E(a+b,c) = E(b,c) + E(a,b+c) on all 625^3 triples.
+    E(a,b) + E(a+b,c) = E(b,c) + E(a,b+c) on all 625^3 triples, one slab of
+    all (a, c) per middle index b; the shifted terms are slices of E with
+    its rows and columns translated by b, so no sum_idx is read.  It
+    records the first violating triples in (a, b, c) order.
     sampled(n): evaluates n uniformly random triples, drawn a million at a
     time and evaluated 2^16 at a time so that memory stays bounded;
     requires a seed.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
-    have passed, checked between batches of rows or triples.  A negative
+    have passed, checked between slabs of b or batches of triples.  A negative
     seed and a negative or NaN budget_seconds raise PreconditionError.
 
     Returns a truthy/falsy report carrying the violating triples, if any.

@@ -32,6 +32,13 @@ def test_exponent_matrix_and_exact_bilinear_budget(canonical_matrix, canonical_t
         lambda: structure.verify_associativity(canonical_table, "exact")) <= 5
 
 
+def test_full_triple_budget(canonical_table):
+    # E with its rows, and its columns, translated and tiled twice along the
+    # two high digit axes: two int8 arrays of 1.5 MiB each
+    assert _peak_mib(
+        lambda: structure.verify_associativity(canonical_table, "full")) <= 8
+
+
 def test_sampled_budget_is_the_draw_plus_small_slices(canonical_table):
     # the (3, 10^6) int64 draw alone takes 22.9 MiB
     assert _peak_mib(lambda: structure.verify_associativity(

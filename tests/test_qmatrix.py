@@ -22,6 +22,7 @@ from qfermat.qmatrix import (
     orbit_representatives,
     sample_admissible,
 )
+from qfermat.structure import build_table
 
 ACTION_SUBSETS = [set(c) for r in (1, 2, 3) for c in itertools.combinations(ALL_ACTIONS, r)]
 
@@ -351,6 +352,30 @@ def test_qmatrix_ordering_row_major():
     a = QMatrix.zero()
     assert a < CANONICAL
     assert sorted([CANONICAL, a])[0] == a
+
+
+def test_qmatrix_rejects_non_integer_entries(canonical_matrix):
+    # entry (1, 2) of the canonical matrix is 1, so truncating 1.5 would
+    # silently build the canonical matrix
+    for x in (1.5, 1.0, True, np.float64(1), np.bool_(True), "1", None):
+        rows = [list(r) for r in canonical_matrix.entries]
+        rows[1][2] = x
+        with pytest.raises(ValueError, match="integers"):
+            QMatrix(rows)
+        with pytest.raises(ValueError, match="integers"):
+            build_table(rows)
+    upper = [0] * 10
+    upper[4] = 2.5
+    with pytest.raises(ValueError, match="integers"):
+        QMatrix.from_upper(upper)
+
+
+def test_qmatrix_accepts_numpy_integers(canonical_matrix):
+    rows = np.array(canonical_matrix.entries)
+    for dtype in (np.int8, np.uint8, np.int32, np.int64):
+        assert QMatrix(rows.astype(dtype)) == canonical_matrix
+    assert QMatrix(rows + 5 * np.arange(25).reshape(5, 5)) == canonical_matrix
+    assert QMatrix.from_upper(np.arange(10)) == QMatrix.from_upper(list(range(10)))
 
 
 def test_qmatrix_rejects_bad_shapes():

@@ -241,6 +241,54 @@ def test_sampled_records_are_first_bad_triples(canonical_table):
         assert not report.ok and report.checks == n
 
 
+def test_digit_translation_matches_sum_idx(canonical_table):
+    exp, s = canonical_table.exp, indices.tables().sum_idx
+    for b in range(625):
+        assert (structure._translate(exp, b) == exp[s[b]]).all(), b
+        assert (structure._translate(exp, b, axis=1) == exp[:, s[b]]).all(), b
+
+
+def _first_bad_triples(table, count=20):
+    # the reference scan: rows a in order, both cocycle sides in int64 mod 5
+    exp, s = table.exp.astype(np.int64), indices.tables().sum_idx
+    digits = indices.tables().idx.tolist()
+    found = []
+    for a in range(625):
+        lhs = (exp[a][:, None] + exp[s[a]]) % 5
+        rhs = (exp + exp[a][s]) % 5
+        for b, c in np.argwhere(lhs != rhs)[:count - len(found)].tolist():
+            found.append({"kind": "cocycle", "a": digits[a], "b": digits[b],
+                          "c": digits[c], "lhs": int(lhs[b, c]), "rhs": int(rhs[b, c])})
+        if len(found) == count:
+            break
+    return found
+
+
+def test_full_triple_records_are_first_bad_triples(canonical_table):
+    one, many = _corrupted_pair(canonical_table, (37, 412))
+    exp = canonical_table.exp.copy()
+    exp[1:50, 1:50] = (exp[1:50, 1:50] + 1) % 5
+    block = structure.StructureTable(canonical_table.source_matrix, exp)
+    tables = [one, many, block,
+              _flipped(canonical_table, ([624], [623])),  # last row
+              _flipped(canonical_table, ([0], [311])),    # row of the unit
+              _flipped(canonical_table, ([5, 400], [0, 0]))]  # column of the unit
+    for bad in tables:
+        expected = _first_bad_triples(bad)
+        report = verify_associativity(bad, "full")
+        assert len(expected) == 20
+        assert report.violations == expected
+        assert not report.ok and report.checks == 625 ** 3
+    # the 0.1 % table has more than 20 bad (a, c) pairs on many slabs of b
+    exp, s = many.exp.astype(np.int64), indices.tables().sum_idx
+    crowded = 0
+    for b in range(0, 625, 25):
+        lhs = (exp[:, b, None] + exp[s[:, b]]) % 5
+        rhs = (exp[b] + exp[:, s[b]]) % 5
+        crowded += np.count_nonzero(lhs != rhs) > 20
+    assert crowded >= 20
+
+
 def test_exact_bilinear_records_match_definitions(canonical_matrix, canonical_table):
     n = canonical_matrix.entries
     pos = indices.tables().index_of
