@@ -236,9 +236,20 @@ def _all_entries() -> np.ndarray:
     return ent
 
 
+def _reduced(ent: np.ndarray) -> List[QMatrix]:
+    """QMatrix objects of (m, 5, 5) entries already in 0..4, without the
+    validating constructor."""
+    out = []
+    for rows in ent.tolist():
+        m = object.__new__(QMatrix)
+        m.entries = tuple(map(tuple, rows))
+        out.append(m)
+    return out
+
+
 def _matrices(codes: np.ndarray) -> List[QMatrix]:
     """The admissible matrices with the given codes, in the order given."""
-    return [QMatrix(m) for m in _all_entries()[codes].tolist()]
+    return _reduced(_all_entries()[codes])
 
 
 @lru_cache(maxsize=1)
@@ -281,7 +292,7 @@ def sample_admissible(count: int, seed: int) -> List[QMatrix]:
     if count < 0:
         raise ValueError("count must be nonnegative")
     free = np.random.default_rng(seed).integers(0, 5, (count, 6))
-    return [QMatrix(m) for m in _from_free(free).tolist()]
+    return _reduced(_from_free(free))
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +308,20 @@ def _check_actions(actions) -> FrozenSet[str]:
 
 
 def _generator_images(actions: FrozenSet[str]):
-    """Each generator's image of every admissible matrix, one array at a time."""
+    """Each generator's image of every admissible matrix, as its six free
+    entries (not yet reduced mod 5), one array at a time."""
     ent = _all_entries()
+    free = ent[:, _FREE_ROWS, _FREE_COLS]
     if "scale" in actions:
-        yield 2 * ent
+        yield 2 * free
     if "permute" in actions:
         for s in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)):
-            yield ent[:, s][:, :, s]
+            s = np.array(s)
+            yield ent[:, s[_FREE_ROWS], s[_FREE_COLS]]
     if "twist" in actions:
-        unit = np.eye(5, dtype=np.int64)
+        unit = np.eye(5, dtype=np.int8)
         for v in unit[0] - unit[1:]:
-            yield ent + v[:, None] - v
+            yield free + (v[_FREE_ROWS] - v[_FREE_COLS])
 
 
 @lru_cache(maxsize=None)
@@ -317,8 +331,7 @@ def _labels(actions: FrozenSet[str]) -> np.ndarray:
     A round lowers each label to that of every generator image and then to
     the label of the label; at the fixed point labels are constant on orbits.
     """
-    images = [(g[:, _FREE_ROWS, _FREE_COLS] % 5) @ _PLACES
-              for g in _generator_images(actions)]
+    images = [(g % 5) @ _PLACES for g in _generator_images(actions)]
     label = np.arange(5 ** 6)
     while True:
         prev = label
@@ -353,14 +366,16 @@ def orbit_representatives(actions=ALL_ACTIONS) -> List[QMatrix]:
     """Least member of each orbit of the generic matrices, sorted row-major.
 
     One matrix per orbit under the selected actions, so the length of the
-    list is the orbit count.  Checks that the generic matrices are a union
-    of orbits: exactly the generic codes share a label with a generic code.
+    list is the orbit count.  A label is the least code of its orbit, so the
+    representatives are the generic codes that are their own label.  Checks
+    that the generic matrices are a union of orbits: exactly the generic
+    codes share a label with a generic code.
     """
     label = _labels(_check_actions(actions))
     generic = _generic_codes()
     in_generic_orbit = np.flatnonzero(np.isin(label, label[generic]))
     assert np.array_equal(in_generic_orbit, generic), "orbit left the generic set"
-    return _matrices(np.unique(label[generic]))
+    return _matrices(generic[label[generic] == generic])
 
 
 @dataclass

@@ -268,17 +268,20 @@ def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -
         if len(report.violations) < _MAX_RECORDED_VIOLATIONS:
             report.violations.append(violation)
 
+    def first(mask: np.ndarray, count: int) -> List[Tuple[int, int]]:
+        # the first (row, column) pairs of a (625, 625) mask in C order
+        return [divmod(ij, 625) for ij in np.flatnonzero(mask)[:count].tolist()]
+
     expected = exponent_matrix(table.source_matrix)
-    mism = np.argwhere(table.exp != expected)
+    mism = table.exp != expected
     report.checks += 625 * 625
-    for i, j in mism[:_MAX_RECORDED_VIOLATIONS]:
-        triple = _find_cocycle_violation(table, int(i), int(j))
+    for i, j in first(mism, _MAX_RECORDED_VIOLATIONS):
+        triple = _find_cocycle_violation(table, i, j)
         record(
             triple if triple is not None else
-            _violation("bilinear-form", int(i), int(j), None,
-                       table.exp[i, j], expected[i, j])
+            _violation("bilinear-form", i, j, None, table.exp[i, j], expected[i, j])
         )
-    if mism.size:
+    if mism.any():
         report.ok = False
 
     # linearity witnesses on the stored exponents, additive in each slot; the
@@ -292,11 +295,11 @@ def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -
         if not (col_bad.any() or row_bad.any()):
             continue
         report.ok = False
-        for i, j in np.argwhere(col_bad)[:2]:
-            record(_violation("linearity", int(i), int(j), c, exp[i, s[j, c]],
+        for i, j in first(col_bad, 2):
+            record(_violation("linearity", i, j, c, exp[i, s[j, c]],
                               (exp[i, j] + exp[i, c]) % 5))
-        for i, j in np.argwhere(row_bad)[:2]:
-            record(_violation("linearity", int(i), int(j), c, exp[s[c, i], j],
+        for i, j in first(row_bad, 2):
+            record(_violation("linearity", i, j, c, exp[s[c, i], j],
                               (exp[i, j] + exp[c, j]) % 5))
 
 
@@ -342,9 +345,12 @@ def _verify_full_triple(table: StructureTable, report: AssociativityReport,
         report.violations.append(_cocycle_violation(table, a, b, c))
 
 
-# triples drawn per batch; a count up to this size draws the (3, n) stream at once
+# triples per batch: batch k is the k-th integers(0, 625, (3, 10^6)) draw of
+# the seeded stream; its rows a and b go into one reused (2, 10^6) uint16
+# buffer, so memory does not grow with the count
 _SAMPLE_CHUNK = 1_000_000
-# triples evaluated at a time, so the temporaries stay small next to the draw
+# triples drawn and evaluated at a time; row c is drawn slice by slice
+# alongside the evaluation, and every temporary is one slice long
 _SAMPLE_SLICE = 1 << 16
 
 
@@ -352,15 +358,38 @@ def _verify_sampled(table: StructureTable, n: int, seed: int,
                     report: AssociativityReport, budget_seconds: Optional[float]) -> None:
     start = time.monotonic()
     rng = np.random.default_rng(seed)
-    exp, s = table.exp, table.sum_idx
+    # E and the sum positions read through flat pair codes x * 625 + y
+    exp, s = table.exp.ravel(), table.sum_idx.ravel()
+    draw = np.empty((2, min(n, _SAMPLE_CHUNK)), dtype=np.uint16)
     for lo in range(0, n, _SAMPLE_CHUNK):
         _check_budget("sampled", start, budget_seconds)
-        draw = rng.integers(0, 625, size=(3, min(_SAMPLE_CHUNK, n - lo)))
-        for t0 in range(0, draw.shape[1], _SAMPLE_SLICE):
-            a, b, c = draw[:, t0:t0 + _SAMPLE_SLICE]
-            d = exp[a, b] + exp[s[a, b], c]
-            d -= exp[b, c]
-            d -= exp[a, s[b, c]]
+        m = min(_SAMPLE_CHUNK, n - lo)
+        slices = [slice(t, min(t + _SAMPLE_SLICE, m)) for t in range(0, m, _SAMPLE_SLICE)]
+        # an int32 draw gives the values of the default int64 one, and
+        # consecutive calls continue the rows of one (3, m) draw
+        for row in draw:
+            for sl in slices:
+                row[sl] = rng.integers(0, 625, sl.stop - sl.start, dtype=np.int32)
+        for sl in slices:
+            a, b = draw[:, sl]
+            c = rng.integers(0, 625, len(a), dtype=np.int32)
+            # E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) in int8: the value lies
+            # in [-8, 8], so it is 0 mod 5 exactly when |d| is 0 or 5
+            ab = a * np.int32(625)
+            ab += b
+            bc = b * np.int32(625)
+            bc += c
+            d = exp.take(ab)
+            d -= exp.take(bc)
+            bc = s.take(bc)
+            ab_c = s.take(ab)
+            ab_c *= 625
+            ab_c += c
+            d += exp.take(ab_c)
+            # a * 625 + (b+c), in the array that held a * 625 + b
+            ab -= b
+            ab += bc
+            d -= exp.take(ab)
             np.abs(d, out=d)
             bad = np.flatnonzero((d != 0) & (d != 5))
             report.checks += len(a)
@@ -410,9 +439,12 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     all (a, c) per middle index b; the shifted terms are slices of E with
     its rows and columns translated by b, so no sum_idx is read.  It
     records the first violating triples in (a, b, c) order.
-    sampled(n): evaluates n uniformly random triples, drawn a million at a
-    time and evaluated 2^16 at a time so that memory stays bounded;
-    requires a seed.
+    sampled(n): evaluates n uniformly random triples; requires a seed.
+    Batch k is the k-th integers(0, 625, (3, 10^6)) draw of the seeded
+    stream, read row by row in slices of 2^16: rows a and b go into one
+    reused uint16 buffer and row c is drawn alongside the evaluation, so
+    memory does not grow with n.  Each slice is evaluated on the flat pair
+    codes a * 625 + b and b * 625 + c.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
     have passed, checked between slabs of b or batches of triples.  A negative
     seed and a negative or NaN budget_seconds raise PreconditionError.

@@ -45,6 +45,14 @@ def test_sampled_budget_is_the_draw_plus_small_slices(canonical_table):
         canonical_table, "sampled=1000000", seed=7)) <= 28
 
 
+def test_sampled_budget_does_not_grow_with_the_count(canonical_table):
+    # rows a and b of one batch in a reused (2, 10^6) uint16 buffer take
+    # 3.8 MiB; every other temporary is one slice of 2^16 triples
+    for mode in ("sampled=1000000", "sampled=2000001"):
+        assert _peak_mib(lambda: structure.verify_associativity(
+            canonical_table, mode, seed=7)) <= 8, mode
+
+
 def test_integer_point_radical_budget(canonical_table):
     F = fiber.specialize(canonical_table, (1, -1, 0, 0, 0))
     assert _peak_mib(lambda: fiber.radical_dim(F)) <= 8

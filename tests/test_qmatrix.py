@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +339,17 @@ def test_classification_report_frozen_values():
     js = rep.to_json()
     assert js["generic_count"] == 3000
     assert js["canonical_representatives"] == [CANONICAL.to_json()]
+
+
+def test_classify_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma lazily, about 35 ms of a cold process; the
+    # orbit representatives are read off the labels without it
+    env = dict(os.environ, PYTHONPATH=str(Path(qmatrix.__file__).resolve().parents[1]))
+    code = "import sys, qfermat; qfermat.classify(); print('numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------

@@ -241,6 +241,35 @@ def test_sampled_records_are_first_bad_triples(canonical_table):
         assert not report.ok and report.checks == n
 
 
+def test_sampled_records_across_batches(canonical_table):
+    # batch k is the k-th integers(0, 625, (3, 10^6)) draw of the seeded
+    # stream; the reference evaluates each batch in int64 over sum_idx
+    n, seed = 2000001, 29
+    s = indices.tables().sum_idx
+    digits = indices.tables().idx.tolist()
+    one, many = _corrupted_pair(canonical_table, (37, 412))
+    for bad in (one, many):
+        exp = bad.exp.astype(np.int64)
+        rng = np.random.default_rng(seed)
+        expected, batches = [], set()
+        for lo in range(0, n, 10 ** 6):
+            a, b, c = rng.integers(0, 625, (3, min(10 ** 6, n - lo)))
+            lhs = (exp[a, b] + exp[s[a, b], c]) % 5
+            rhs = (exp[b, c] + exp[a, s[b, c]]) % 5
+            for t in np.flatnonzero(lhs != rhs)[:20 - len(expected)].tolist():
+                batches.add(lo)
+                expected.append({"kind": "cocycle", "a": digits[a[t]],
+                                 "b": digits[b[t]], "c": digits[c[t]],
+                                 "lhs": int(lhs[t]), "rhs": int(rhs[t])})
+        report = verify_associativity(bad, "sampled=%d" % n, seed=seed)
+        assert expected
+        assert report.violations == expected
+        assert not report.ok and report.checks == n
+        if bad is one:
+            # one flipped exponent is rare enough that later batches record too
+            assert len(batches) >= 2
+
+
 def test_digit_translation_matches_sum_idx(canonical_table):
     exp, s = canonical_table.exp, indices.tables().sum_idx
     for b in range(625):
