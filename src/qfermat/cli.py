@@ -122,11 +122,15 @@ def _load_json(path: str):
             text = fh.read()
     except OSError as exc:
         raise _CliError("parse", "cannot read %s: %s" % (path, exc.strerror or exc), path=path)
+    except UnicodeDecodeError as exc:
+        raise _CliError("parse", "%s is not UTF-8 text: %s" % (path, exc.reason), path=path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError("parse", "invalid JSON in %s: %s" % (path, exc.msg), path=path,
                         position={"line": exc.lineno, "col": exc.colno})
+    except RecursionError:
+        raise _CliError("parse", "JSON in %s is nested too deeply" % path, path=path)
 
 
 def _load_matrix(path: str) -> qmatrix.QMatrix:

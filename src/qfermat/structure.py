@@ -33,6 +33,7 @@ by one index, never through a gather by the sum index.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
@@ -61,6 +62,8 @@ __all__ = [
 # deterministic linearity witnesses: the zero index plus the first 24
 # weight-1 indices in lex order
 _WITNESS_COUNT = 25
+# rows of E per BLAS product in exponent_matrix
+_EXP_BLOCK = 125
 
 
 def exponent_matrix(N: QMatrix) -> np.ndarray:
@@ -69,17 +72,25 @@ def exponent_matrix(N: QMatrix) -> np.ndarray:
     Low-level helper: no admissibility requirement, any 5x5 integer matrix
     works.  Values are exact: the entries are reduced mod 5 as integers
     first, so the float64 BLAS product only sees small integers, at most
-    640; it is reduced in int16, in place, and the (625, 625) float64
-    product is the only large temporary.
+    640.  The (625, 5) factor a @ L is formed once and multiplied into the
+    transposed digit rows in row blocks of 125, each reduced mod 5 in int16,
+    so the largest temporary is one reused (125, 625) float64 block of
+    0.6 MB.
     """
     t = indices.tables()
     N = N if isinstance(N, QMatrix) else QMatrix(N)
     lower = np.tril(np.array(N.entries, dtype=np.float64), -1)
     a = t.idx.astype(np.float64)
-    e = (a @ lower) @ a.T
-    e = np.rint(e, out=e).astype(np.int16)
-    e %= 5
-    return e.astype(np.int8)
+    left = a @ lower
+    e = np.empty((625, 625), dtype=np.int8)
+    block = np.empty((_EXP_BLOCK, 625))
+    r = np.empty((_EXP_BLOCK, 625), dtype=np.int16)
+    for lo in range(0, 625, _EXP_BLOCK):
+        np.matmul(left[lo:lo + _EXP_BLOCK], a.T, out=block)
+        np.rint(block, out=r, casting="unsafe")
+        r %= 5
+        e[lo:lo + _EXP_BLOCK] = r
+    return e
 
 
 class StructureTable:
@@ -87,7 +98,7 @@ class StructureTable:
 
     Only the exponents E(a,b) depend on the matrix, so a table is its source
     matrix and the (625, 625) int8 array exp.  The target positions sum_idx
-    and the carry flags carry come from the index monoid alone; they are the
+    and the carry flags come from the index monoid alone; they are the
     shared read-only arrays of indices.tables().
     """
 
@@ -105,7 +116,8 @@ class StructureTable:
 
     @property
     def carry(self) -> np.ndarray:
-        """(625, 625, 5) carry flags of a+b, shared by every table."""
+        """(625, 625, 5) carry flags of a+b, shared by every table and built
+        from carry_code on first access."""
         return indices.tables().carry
 
     # -- element access --------------------------------------------------
@@ -122,7 +134,8 @@ class StructureTable:
         i, j = indices.position(a), indices.position(b)
         shared = indices.tables()
         target = MultiIndex(tuple(int(d) for d in shared.idx[shared.sum_idx[i, j]]))
-        carry = CarryVector(tuple(bool(f) for f in shared.carry[i, j]))
+        code = int(shared.carry_code[i, j])
+        carry = CarryVector(tuple(bool(code >> k & 1) for k in range(5)))
         return Mod5(int(self.exp[i, j])), carry, target
 
     def replace_exponent(self, a, b, new_exp: int) -> "StructureTable":
@@ -346,11 +359,10 @@ def _verify_full_triple(table: StructureTable, report: AssociativityReport,
 
 
 # triples per batch: batch k is the k-th integers(0, 625, (3, 10^6)) draw of
-# the seeded stream; its rows a and b go into one reused (2, 10^6) uint16
-# buffer, so memory does not grow with the count
+# the seeded stream, read row by row
 _SAMPLE_CHUNK = 1_000_000
-# triples drawn and evaluated at a time; row c is drawn slice by slice
-# alongside the evaluation, and every temporary is one slice long
+# triples drawn and evaluated at a time; the three rows of a batch are drawn
+# in lockstep, and every temporary is one slice long
 _SAMPLE_SLICE = 1 << 16
 
 
@@ -360,19 +372,24 @@ def _verify_sampled(table: StructureTable, n: int, seed: int,
     rng = np.random.default_rng(seed)
     # E and the sum positions read through flat pair codes x * 625 + y
     exp, s = table.exp.ravel(), table.sum_idx.ravel()
-    draw = np.empty((2, min(n, _SAMPLE_CHUNK)), dtype=np.uint16)
     for lo in range(0, n, _SAMPLE_CHUNK):
         _check_budget("sampled", start, budget_seconds)
         m = min(_SAMPLE_CHUNK, n - lo)
-        slices = [slice(t, min(t + _SAMPLE_SLICE, m)) for t in range(0, m, _SAMPLE_SLICE)]
+        sizes = [min(_SAMPLE_SLICE, m - t) for t in range(0, m, _SAMPLE_SLICE)]
         # an int32 draw gives the values of the default int64 one, and
-        # consecutive calls continue the rows of one (3, m) draw
-        for row in draw:
-            for sl in slices:
-                row[sl] = rng.integers(0, 625, sl.stop - sl.start, dtype=np.int32)
-        for sl in slices:
-            a, b = draw[:, sl]
-            c = rng.integers(0, 625, len(a), dtype=np.int32)
+        # consecutive calls continue the rows of one (3, m) draw: copies of
+        # the generator at the starts of rows a and b replay those rows,
+        # while rng skips them and then draws row c
+        rows = []
+        for _ in range(2):
+            rows.append(copy.deepcopy(rng))
+            for k in sizes:
+                rng.integers(0, 625, k, dtype=np.int32)
+        row_a, row_b = rows
+        for k in sizes:
+            a = row_a.integers(0, 625, k, dtype=np.int32)
+            b = row_b.integers(0, 625, k, dtype=np.int32)
+            c = rng.integers(0, 625, k, dtype=np.int32)
             # E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) in int8: the value lies
             # in [-8, 8], so it is 0 mod 5 exactly when |d| is 0 or 5
             ab = a * np.int32(625)
@@ -441,10 +458,10 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     records the first violating triples in (a, b, c) order.
     sampled(n): evaluates n uniformly random triples; requires a seed.
     Batch k is the k-th integers(0, 625, (3, 10^6)) draw of the seeded
-    stream, read row by row in slices of 2^16: rows a and b go into one
-    reused uint16 buffer and row c is drawn alongside the evaluation, so
-    memory does not grow with n.  Each slice is evaluated on the flat pair
-    codes a * 625 + b and b * 625 + c.
+    stream.  Copies of the generator at the starts of rows a and b draw
+    those rows again in lockstep with row c, one slice of 2^16 triples at a
+    time, so no row is kept and memory does not grow with n.  Each slice is
+    evaluated on the flat pair codes a * 625 + b and b * 625 + c.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
     have passed, checked between slabs of b or batches of triples.  A negative
     seed and a negative or NaN budget_seconds raise PreconditionError.
@@ -515,7 +532,7 @@ def frobenius_pairing(table: StructureTable) -> PairingMatrix:
     shared = indices.tables()
     rows = np.arange(625)
     comp = shared.comp.astype(np.int64)
-    assert not table.carry[rows, comp].any(), "complementary pairs never carry"
+    assert not shared.carry_code[rows, comp].any(), "complementary pairs never carry"
     exps = table.exp[rows, comp].copy()
     return PairingMatrix(exps, comp)
 

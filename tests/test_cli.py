@@ -216,6 +216,22 @@ def test_non_integer_matrix_entry_is_parse_record(capsys, tmp_path, table_file,
         assert json.loads(captured.err)["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200000],
+                         ids=["not-utf8", "nested-too-deeply"])
+def test_unreadable_input_is_parse_record(capsys, tmp_path, content):
+    # a UnicodeDecodeError and a RecursionError escaped as tracebacks
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    for argv in (["build-table", "--out", str(tmp_path / "t.json"), "--matrix"],
+                 ["verify", "--table"]):
+        code = main(argv + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        record = json.loads(captured.err)["error"]
+        assert record["kind"] == "parse" and record["path"] == str(path), argv
+
+
 def test_missing_file_is_parse_error(capsys, tmp_path):
     code = main(["verify", "--table", str(tmp_path / "absent.json")])
     captured = capsys.readouterr()

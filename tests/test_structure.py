@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -471,6 +476,32 @@ def test_certificate_accepts_prebuilt_table(canonical_table):
     cert = cy_certificate(canonical_table)
     assert cert.passed
     assert cert.source_matrix == canonical_table.source_matrix
+
+
+def test_kernels_never_build_the_carry_cube(canonical_matrix):
+    # carry and ncarry are derived from carry_code on first access; table
+    # building, the three verifiers, the certificate and specialize read
+    # carry_code only, so in a fresh process neither array is built
+    env = dict(os.environ, PYTHONPATH=str(Path(structure.__file__).resolve().parents[1]))
+    code = """
+import numpy as np
+from qfermat import fiber, indices, structure
+from qfermat.qmatrix import QMatrix
+T = structure.build_table(QMatrix(%r))
+for mode in ("exact", "sampled=1000", "full"):
+    assert structure.verify_associativity(T, mode, seed=1), mode
+assert structure.cy_certificate(T)
+fiber.specialize(T, (1, -1, 0, 0, 0))
+t = indices.tables()
+print(sorted({"carry", "ncarry"} & set(vars(t))))
+bits = t.carry_code[:, :, None] >> np.arange(5, dtype=np.uint8) & 1
+print(bool((t.carry == bits.astype(bool)).all()), bool((t.ncarry == bits.sum(axis=2)).all()))
+print(sorted({"carry", "ncarry"} & set(vars(t))))
+""" % (canonical_matrix.to_json(),)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "True True", "['carry', 'ncarry']", ""]
 
 
 # ---------------------------------------------------------
