@@ -20,7 +20,7 @@ exposed as tables() since several modules and the test suite rely on it.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -189,16 +189,14 @@ class IndexTables:
       weight    (625,)   int64   weights
       sum_idx   (625, 625) int32 position of the reduced digitwise sum
       carry_code (625, 625) uint8 carry flags packed as a bitmask, bit k for digit k
-      carry     (625, 625, 5) bool  carry flags, the bits of carry_code
-      ncarry    (625, 625) int8  carry counts, the popcount of carry_code
       comp      (625,)   int32   position of (4,...,4) - a
       neg       (625,)   int32   position of the additive inverse
 
     A position is the first four digits read in base 5, so the pair tables
     are built one digit at a time from (625, 625) uint8 digit sums s: sum_idx
     by Horner's rule on s mod 5, and carry_code from the flags s >= 5.  No
-    temporary is larger than (625, 625) uint8.  carry and ncarry are derived
-    from carry_code on first access and cached; no kernel reads them.
+    temporary is larger than (625, 625) uint8.  carry_code is the only carry
+    array: the flags of a pair are its bits, their count is its popcount.
     """
 
     def __init__(self):
@@ -222,19 +220,6 @@ class IndexTables:
         for arr in (self.idx, self.weight, self.sum_idx, self.carry_code,
                     self.comp, self.neg):
             arr.setflags(write=False)
-
-    @cached_property
-    def carry(self) -> np.ndarray:
-        flags = np.unpackbits(self.carry_code[:, :, None], axis=2, count=5,
-                              bitorder="little").view(bool)
-        flags.setflags(write=False)
-        return flags
-
-    @cached_property
-    def ncarry(self) -> np.ndarray:
-        counts = np.bitwise_count(self.carry_code).view(np.int8)
-        counts.setflags(write=False)
-        return counts
 
 
 @lru_cache(maxsize=1)

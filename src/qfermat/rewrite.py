@@ -11,12 +11,12 @@ Reduction is two-phase.  Phase one sorts the letters of a word into
 nondecreasing order, collecting one factor zeta^{n_ij} per adjacent swap of
 i past j with i > j; the total is the inversion sum of the word, so it can
 be read off without actually bubble-sorting.  Phase two replaces t_0^5 by
--(t_1^5 + t_2^5 + t_3^5 + t_4^5) at the leftmost occurrence until e_0 <= 4;
-fifth powers are central (zeta^{5 n_ij} = 1), so no commutation scalars
-appear in this phase, only signs.
+-(t_1^5 + t_2^5 + t_3^5 + t_4^5) until e_0 <= 4; fifth powers are central
+(zeta^{5 n_ij} = 1), so t_0^{5k} expands by the multinomial theorem in one
+step, and no commutation scalars appear in this phase, only integers.
 
 Phase one therefore yields one root of unity zeta^s, and phase two one
-integer sign per output monomial; normal_form takes their products
+integer coefficient per output monomial; normal_form takes their products
 zeta^s * sign from a small cache.  Wherever a coefficient meets a root of
 unity, CycNum.times_root rotates its coordinates instead of running the
 general field product, and multiply applies a sign of +1 or -1 as identity
@@ -173,21 +173,26 @@ def _signed_root(s: int, sign: int) -> CycNum:
 
 @lru_cache(maxsize=4096)
 def _eliminate_t0(e: Monomial) -> Tuple[Tuple[Monomial, int], ...]:
-    """Expand fifth powers of t_0 into the other generators, with signs.
+    """Expand fifth powers of t_0 into the other generators.
 
-    Returns (monomial, integer coefficient) pairs.  Fifth powers are
-    central, so moving the substituted block into sorted position is free.
+    Returns (monomial, integer coefficient) pairs in sorted order.  Fifth
+    powers are central, so for e_0 = 5k + r the multinomial theorem gives
+    t^e = sum over k_1 + ... + k_4 = k of (-1)^k k!/(k_1! ... k_4!)
+    t^(r, e_1 + 5k_1, ..., e_4 + 5k_4), one term per output monomial.
     """
-    if e[0] <= 4:
-        return ((e, 1),)
-    acc: Dict[Monomial, int] = {}
-    base = (e[0] - 5,) + e[1:]
-    for k in range(1, 5):
-        sub = list(base)
-        sub[k] += 5
-        for m, c in _eliminate_t0(tuple(sub)):
-            acc[m] = acc.get(m, 0) - c
-    return tuple(sorted(acc.items()))
+    k, r = divmod(e[0], 5)
+    sign = -1 if k % 2 else 1
+    out = []
+    # (k_1, k_2, k_3) ascending is the lex order of the monomials
+    for k1 in range(k + 1):
+        c1 = sign * comb(k, k1)
+        for k2 in range(k - k1 + 1):
+            c2 = c1 * comb(k - k1, k2)
+            for k3 in range(k - k1 - k2 + 1):
+                k4 = k - k1 - k2 - k3
+                m = (r, e[1] + 5 * k1, e[2] + 5 * k2, e[3] + 5 * k3, e[4] + 5 * k4)
+                out.append((m, c2 * comb(k3 + k4, k3)))
+    return tuple(out)
 
 
 def _cross_exponent(e: Sequence[int], f: Sequence[int], entries) -> int:

@@ -20,9 +20,12 @@ that entry is a pure root of unity.  For admissible N (zero row sums) the
 pairing is symmetric; over arbitrary skew matrices, elementwise symmetry of
 the 625 antidiagonal pairs is equivalent to all row sums being equal mod 5.
 
-Exponents are stored as a (625, 625) int8 array and realized as field
-elements only at API boundaries; targets and carries are the shared arrays
-of the index module.  The verification kernels work in int8 in place: a
+Exponents are computed and stored as a (625, 625) int8 array and realized
+as field elements only at API boundaries; targets and carries are the
+shared arrays of the index module.  Writing E(a,b) = <a L, b> with L the
+strict lower triangle of N makes each row of E a row of one fixed table of
+four-digit dot products mod 5, so building E is an integer row gather and
+no floating point enters.  The verification kernels work in int8 in place: a
 cocycle or linearity defect lies in [-8, 8], so it is 0 mod 5 exactly when
 its absolute value is 0 or 5; recorded violations recompute both sides.
 A position is four base-5 digits, so translating every index by b rolls
@@ -36,6 +39,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -62,35 +66,35 @@ __all__ = [
 # deterministic linearity witnesses: the zero index plus the first 24
 # weight-1 indices in lex order
 _WITNESS_COUNT = 25
-# rows of E per BLAS product in exponent_matrix
-_EXP_BLOCK = 125
+
+
+@lru_cache(maxsize=1)
+def _dot_table() -> np.ndarray:
+    """(625, 625) int8 D[p, q] = sum_{k<4} p_k q_k mod 5 over the first four
+    digits of two positions; the sums stay at most 64, so int8 holds them."""
+    digits = indices.tables().idx[:, :4].astype(np.int8)
+    d = np.zeros((625, 625), dtype=np.int8)
+    for k in range(4):
+        d += np.multiply.outer(digits[:, k], digits[:, k])
+    d %= 5
+    d.setflags(write=False)
+    return d
 
 
 def exponent_matrix(N: QMatrix) -> np.ndarray:
-    """The (625, 625) array E(a,b) = sum_{i>j} n_ij a_i b_j mod 5.
+    """The (625, 625) int8 array E(a,b) = sum_{i>j} n_ij a_i b_j mod 5.
 
     Low-level helper: no admissibility requirement, any 5x5 integer matrix
-    works.  Values are exact: the entries are reduced mod 5 as integers
-    first, so the float64 BLAS product only sees small integers, at most
-    640.  The (625, 5) factor a @ L is formed once and multiplied into the
-    transposed digit rows in row blocks of 125, each reduced mod 5 in int16,
-    so the largest temporary is one reused (125, 625) float64 block of
-    0.6 MB.
+    works; its entries are reduced mod 5 first.  E(a,b) = <u(a), b> mod 5
+    with u(a) = a L mod 5, where L is the strict lower triangle of N, so
+    u_4 = 0 and row a of E is the row of the cached table D = _dot_table()
+    at the position whose digits are u_0..u_3.  The arithmetic is integer
+    throughout; the only (625, 625) arrays are D and the result.
     """
-    t = indices.tables()
     N = N if isinstance(N, QMatrix) else QMatrix(N)
-    lower = np.tril(np.array(N.entries, dtype=np.float64), -1)
-    a = t.idx.astype(np.float64)
-    left = a @ lower
-    e = np.empty((625, 625), dtype=np.int8)
-    block = np.empty((_EXP_BLOCK, 625))
-    r = np.empty((_EXP_BLOCK, 625), dtype=np.int16)
-    for lo in range(0, 625, _EXP_BLOCK):
-        np.matmul(left[lo:lo + _EXP_BLOCK], a.T, out=block)
-        np.rint(block, out=r, casting="unsafe")
-        r %= 5
-        e[lo:lo + _EXP_BLOCK] = r
-    return e
+    lower = np.tril(np.array(N.entries, dtype=np.int64), -1)
+    u = indices.tables().idx @ lower % 5
+    return _dot_table()[u[:, :4] @ 5 ** np.arange(3, -1, -1)]
 
 
 class StructureTable:
@@ -98,8 +102,8 @@ class StructureTable:
 
     Only the exponents E(a,b) depend on the matrix, so a table is its source
     matrix and the (625, 625) int8 array exp.  The target positions sum_idx
-    and the carry flags come from the index monoid alone; they are the
-    shared read-only arrays of indices.tables().
+    and the packed carry flags carry_code come from the index monoid alone;
+    they are the shared read-only arrays of indices.tables().
     """
 
     __slots__ = ("source_matrix", "exp")
@@ -113,12 +117,6 @@ class StructureTable:
     def sum_idx(self) -> np.ndarray:
         """(625, 625) position of a+b, shared by every table."""
         return indices.tables().sum_idx
-
-    @property
-    def carry(self) -> np.ndarray:
-        """(625, 625, 5) carry flags of a+b, shared by every table and built
-        from carry_code on first access."""
-        return indices.tables().carry
 
     # -- element access --------------------------------------------------
 

@@ -111,3 +111,36 @@ def test_readme_library_imports_resolve():
     missing = [n for n in names if not hasattr(package, n)]
     assert not missing, "README imports names qfermat does not export: %s" % missing
     assert set(names) <= set(package.__all__)
+
+
+_FLOAT_DTYPES = {"float16", "float32", "float64", "floating"}
+
+
+def _names_float(node):
+    # the builtin float or a dtype string such as "float64", as a dtype
+    return (isinstance(node, ast.Name) and node.id == "float") or (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("float"))
+
+
+def _float_dtypes(tree):
+    """(line, text) of each numpy floating dtype a module names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _FLOAT_DTYPES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.keyword) and node.arg == "dtype" and _names_float(node.value):
+            found.append((node.value.lineno, "dtype=float"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "astype" and node.args and _names_float(node.args[0])):
+            found.append((node.lineno, "astype(float)"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_paths_are_integer_only(path):
+    # no floating point where a theorem is decided; the builtin float of a
+    # debugging conversion or a CLI option is not a numpy dtype
+    found = _float_dtypes(_parse(path))
+    assert not found, "%s uses numpy floating dtypes: %s" % (
+        path.name, ", ".join("%s (line %d)" % (text, line) for line, text in found))

@@ -79,19 +79,24 @@ def test_carry_count_equals_weight_drop_all_pairs():
     wa = t.weight[:, None]
     wb = t.weight[None, :]
     ws = t.weight[t.sum_idx]
-    assert (t.ncarry == wa + wb - ws).all()
+    assert (np.bitwise_count(t.carry_code) == wa + wb - ws).all()
 
 
 def test_sum_closure_and_commutativity_arrays():
     t = indices.tables()
     assert t.sum_idx.shape == (625, 625)
     assert (t.sum_idx == t.sum_idx.T).all()
-    assert (t.carry == np.swapaxes(t.carry, 0, 1)).all()
+    assert (t.carry_code == t.carry_code.T).all()
     # componentwise: digits of the sum match (a_i + b_i) mod 5
     digits = t.idx
     for trial_a in (0, 17, 311, 624):
         got = digits[t.sum_idx[trial_a]]
         assert (got == (digits[trial_a] + digits) % 5).all()
+
+
+def _flags(t, i, j):
+    # the five carry flags of the pair (i, j), the bits of carry_code
+    return [bool(t.carry_code[i, j] >> k & 1) for k in range(5)]
 
 
 def test_carry_associativity_sampled():
@@ -102,19 +107,21 @@ def test_carry_associativity_sampled():
         a, b, c = (int(x) for x in rng.integers(0, 625, size=3))
         ab = int(t.sum_idx[a, b])
         bc = int(t.sum_idx[b, c])
-        left = sorted(t.carry[a, b].tolist() + t.carry[ab, c].tolist())
-        right = sorted(t.carry[b, c].tolist() + t.carry[a, bc].tolist())
+        left = sorted(_flags(t, a, b) + _flags(t, ab, c))
+        right = sorted(_flags(t, b, c) + _flags(t, a, bc))
         assert left == right
         assert t.sum_idx[ab, c] == t.sum_idx[a, bc]
 
 
 def test_carry_associativity_all_triples():
     # carry(a,b) + carry(a+b,c) == carry(b,c) + carry(a,b+c) as flag vectors,
-    # for all 625^3 triples; flags are packed base 4 so a per-position sum of
-    # two flags never spills into the next digit
+    # for all 625^3 triples; the carry_code bits are repacked base 4 so a
+    # per-position sum of two flags never spills into the next digit
     t = indices.tables()
     s = t.sum_idx
-    code4 = t.carry.astype(np.uint16) @ (4 ** np.arange(5, dtype=np.uint16))
+    code4 = np.zeros((625, 625), dtype=np.uint16)
+    for k in range(5):
+        code4 += (t.carry_code >> k & 1).astype(np.uint16) << 2 * k
     for a in range(625):
         lhs = code4[a][:, None] + code4[s[a], :]
         rhs = code4 + code4[a][s]
@@ -182,7 +189,7 @@ def test_shared_tables_are_readonly():
     with pytest.raises(ValueError):
         t.sum_idx[0, 0] = 1
     with pytest.raises(ValueError):
-        t.carry[0, 0, 0] = True
+        t.carry_code[0, 0] = 1
 
 
 def test_tables_match_their_definition_on_all_pairs():
@@ -197,15 +204,13 @@ def test_tables_match_their_definition_on_all_pairs():
         target = np.array([pos[s.digits] for s, _ in sums])
         flags = np.array([c.flags for _, c in sums])
         assert (t.sum_idx[i] == target).all(), i
-        assert (t.carry[i] == flags).all(), i
-        assert (t.ncarry[i] == flags.sum(axis=1)).all(), i
         assert ((t.carry_code[i, :, None] >> bits & 1) == flags).all(), i
+        assert (np.bitwise_count(t.carry_code[i]) == flags.sum(axis=1)).all(), i
         assert t.comp[i] == pos[complement(a).digits]
         assert t.neg[i] == pos[tuple((-d) % 5 for d in a)]
         assert (t.idx[i] == a.digits).all() and t.weight[i] == weight(a)
     expected = {"idx": (np.int64, (625, 5)), "weight": (np.int64, (625,)),
-                "sum_idx": (np.int32, (625, 625)), "carry": (bool, (625, 625, 5)),
-                "ncarry": (np.int8, (625, 625)), "carry_code": (np.uint8, (625, 625)),
+                "sum_idx": (np.int32, (625, 625)), "carry_code": (np.uint8, (625, 625)),
                 "comp": (np.int32, (625,)), "neg": (np.int32, (625,))}
     for name, (dtype, shape) in expected.items():
         arr = getattr(t, name)

@@ -1,5 +1,6 @@
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ def test_quintic_power_rewrites_to_minus_sum():
     for k in range(1, 5):
         expect = expect - fifth_power(k)
     assert el == expect
+
+
+def test_long_t0_power_expands_by_multinomials():
+    # t_0^200 = (t_1^5 + ... + t_4^5)^40: one term per k_1 + ... + k_4 = 40
+    # with coefficient 40!/(k_1! ... k_4!), in time proportional to the output
+    start = time.perf_counter()
+    el = normal_form((0,) * 200, CANONICAL)
+    assert time.perf_counter() - start < 5
+    assert len(el.terms) == comb(43, 3) == 12341
+    for (e0, *rest), c in el.terms.items():
+        ks = [x // 5 for x in rest]
+        assert e0 == 0 and [5 * x for x in ks] == rest and sum(ks) == 40
+        assert c == CycNum((factorial(40) // prod(factorial(x) for x in ks), 0, 0, 0))
 
 
 def test_normal_form_is_idempotent_on_basis_words():
