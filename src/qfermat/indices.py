@@ -192,27 +192,34 @@ class IndexTables:
       comp      (625,)   int32   position of (4,...,4) - a
       neg       (625,)   int32   position of the additive inverse
 
-    A position is the first four digits read in base 5, so the pair tables
-    are built one digit at a time from (625, 625) uint8 digit sums s: sum_idx
-    by Horner's rule on s mod 5, and carry_code from the flags s >= 5.  No
-    temporary is larger than (625, 625) uint8.  carry_code is the only carry
-    array: the flags of a pair are its bits, their count is its popcount.
+    A position is 25 * high + low, high and low the positions of digits
+    (0, 1) and (2, 3) among the 25 digit pairs, so sum_idx and carry_code are
+    each one broadcast of (25, 25) position-sum and carry tables of the
+    halves; bit 4 of carry_code comes from the completion digits.  Neither
+    needs a (625, 625) temporary.  carry_code is the only carry array: the
+    flags of a pair are its bits, their count is its popcount.
     """
 
     def __init__(self):
-        self.idx = idx = np.array([m.digits for m in _index_list()], dtype=np.int64)
-        digits = idx.astype(np.uint8)
-        self.sum_idx = np.zeros((625, 625), dtype=np.int32)
-        self.carry_code = np.zeros((625, 625), dtype=np.uint8)
-        for k in range(5):
-            s = digits[:, None, k] + digits[None, :, k]
-            self.carry_code |= (s >= 5).view(np.uint8) << k
-            if k < 4:
-                self.sum_idx *= 5
-                self.sum_idx += s % 5
+        head = np.stack(np.unravel_index(np.arange(625), (5,) * 4), axis=1)
+        self.idx = idx = np.column_stack([head, -head.sum(axis=1) % 5])
+        pair = idx[:25, 2:4].astype(np.uint8)  # the 25 digit pairs, in order
+        s = pair[:, None, :] + pair[None, :, :]
+        half_sum = (s[..., 0] % 5) * 5 + s[..., 1] % 5
+        half_carry = (s[..., 0] >= 5).view(np.uint8) | (s[..., 1] >= 5).view(np.uint8) << 1
+        # (high_a, low_a, high_b, low_b) reshaped is the (625, 625) pair table
+        self.sum_idx = (25 * half_sum.astype(np.int32)[:, None, :, None]
+                        + half_sum[None, :, None, :]).reshape(625, 625)
+        last = idx[:, 4].astype(np.uint8)
+        self.carry_code = code = np.add.outer(last, last)
+        np.greater_equal(code, 5, out=code)
+        code <<= 4
+        code = code.reshape(25, 25, 25, 25)
+        code |= half_carry[:, None, :, None]
+        code |= half_carry[None, :, None, :] << 2
 
         place = 5 ** np.arange(3, -1, -1)
-        self.index_of = {m.digits: i for i, m in enumerate(_index_list())}
+        self.index_of = {tuple(d): i for i, d in enumerate(idx.tolist())}
         self.weight = idx.sum(axis=1) // 5
         self.comp = ((4 - idx[:, :4]) @ place).astype(np.int32)
         self.neg = ((-idx[:, :4] % 5) @ place).astype(np.int32)

@@ -19,8 +19,11 @@ Phase one therefore yields one root of unity zeta^s, and phase two one
 integer coefficient per output monomial; normal_form takes their products
 zeta^s * sign from a small cache.  Wherever a coefficient meets a root of
 unity, CycNum.times_root rotates its coordinates instead of running the
-general field product, and multiply applies a sign of +1 or -1 as identity
-or negation, any other integer by ordinary scaling.
+general field product: multiply applies a coefficient +-zeta^k as a rotation
+and a sign, and the random-schedule reducer holds each term as a coefficient
+and a pending power of zeta.  That reducer takes one rng.integers(n) draw
+per pick; numpy draws nothing for a pick with one choice, so skipping it
+leaves the seeded stream unchanged.
 """
 
 from __future__ import annotations
@@ -71,6 +74,13 @@ class AlgElement:
             if c:
                 cleaned[_check_monomial(e)] = c
         self.terms = cleaned
+
+    @classmethod
+    def _standard(cls, terms: Dict[Monomial, CycNum]) -> "AlgElement":
+        """Wrap terms already in standard form, without re-validating them."""
+        el = cls.__new__(cls)
+        el.terms = terms
+        return el
 
     @classmethod
     def zero(cls) -> "AlgElement":
@@ -153,14 +163,17 @@ class AlgElement:
 def _check_matrix(N: QMatrix) -> QMatrix:
     if not isinstance(N, QMatrix):
         N = QMatrix(N)
-    if not is_admissible(N):
+    if not _admissible(N.entries):
         raise PreconditionError("rewriting requires an admissible matrix")
     return N
 
 
+_admissible = lru_cache(maxsize=16)(is_admissible)  # keyed by QMatrix.entries
+
+
 def _check_word(w: Sequence[int]) -> Tuple[int, ...]:
-    word = tuple(int(x) for x in w)
-    if any(x < 0 or x > 4 for x in word):
+    word = tuple(map(int, w))
+    if word and (min(word) < 0 or max(word) > 4):
         raise ValueError("word letters must be generator indices in 0..4: %r" % (w,))
     return word
 
@@ -217,35 +230,46 @@ def normal_form(w: Sequence[int], N: QMatrix) -> AlgElement:
     zeta^{n_ij} for every inversion of the word, phase two eliminates fifth
     powers of t_0 through the quintic relation.
     """
-    N = _check_matrix(N)
-    word = _check_word(w)
-    entries = N.entries
+    entries = _check_matrix(N).entries
     s = 0
     counts = [0] * 5
-    for q in range(len(word)):
-        wq = word[q]
-        for p in range(q):
-            if word[p] > wq:
-                s += entries[word[p]][wq]
-        counts[wq] += 1
+    # each letter j meets every larger letter i seen before it: inversions
+    # by counts, O(5n) in the word length
+    for j in _check_word(w):
+        for i in range(j + 1, 5):
+            s += counts[i] * entries[i][j]
+        counts[j] += 1
     s %= 5
-    return AlgElement({m: _signed_root(s, c) for m, c in _eliminate_t0(tuple(counts))})
+    return AlgElement._standard(
+        {m: _signed_root(s, c) for m, c in _eliminate_t0(tuple(counts))})
+
+
+# +-zeta^k by coordinates, to (k, sign): a product with one is a rotation
+_UNITS = {(root_power(k) * sign).coeffs: (k, sign) for k in range(5) for sign in (1, -1)}
 
 
 def multiply(x: AlgElement, y: AlgElement, N: QMatrix) -> AlgElement:
     """Product in the algebra, bilinear over the standard monomials."""
-    N = _check_matrix(N)
-    entries = N.entries
+    entries = _check_matrix(N).entries
+    ys = [(f, d, _UNITS.get(d.coeffs)) for f, d in y.terms.items()]
     acc: Dict[Monomial, CycNum] = {}
     for e, c in x.terms.items():
-        for f, d in y.terms.items():
-            coeff = (c * d).times_root(_cross_exponent(e, f, entries))
-            g = tuple(a + b for a, b in zip(e, f))
+        cu = _UNITS.get(c.coeffs)
+        for f, d, du in ys:
+            s = _cross_exponent(e, f, entries)
+            if cu is not None:
+                coeff, unit = d.times_root(cu[0] + s), cu[1]
+            elif du is not None:
+                coeff, unit = c.times_root(du[0] + s), du[1]
+            else:
+                coeff, unit = (c * d).times_root(s), 1
+            g = (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3], e[4] + f[4])
             for m, sign in _eliminate_t0(g):
-                prev = acc.get(m)
+                sign *= unit
                 val = coeff if sign == 1 else -coeff if sign == -1 else coeff * sign
+                prev = acc.get(m)
                 acc[m] = val if prev is None else prev + val
-    return AlgElement(acc)
+    return AlgElement._standard({m: c for m, c in acc.items() if c})
 
 
 def is_central(x: AlgElement, N: QMatrix) -> bool:
@@ -281,19 +305,17 @@ def graded_dimension(n: int, N: Optional[QMatrix] = None) -> int:
 # randomized-schedule reference reducer (confluence witness)
 
 
-@lru_cache(maxsize=4096)
 def _word_moves(word: Tuple[int, ...]) -> Tuple[Tuple[str, int], ...]:
     """All applicable reducing moves: strict descents and t_0^5 runs."""
-    moves = []
-    for p in range(len(word) - 1):
-        if word[p] > word[p + 1]:
-            moves.append(("swap", p))
-    run = 0
-    for p, letter in enumerate(word):
-        run = run + 1 if letter == 0 else 0
-        if run >= 5:
-            moves.append(("quintic", p - 4))
+    moves = [("swap", p) for p, (a, b) in enumerate(zip(word, word[1:])) if a > b]
+    if word.count(0) >= 5:
+        moves += [("quintic", p) for p in range(len(word) - 4) if word[p:p + 5] == (0,) * 5]
     return tuple(moves)
+
+
+def _pick(rng, n: int) -> int:
+    # integers(1) draws nothing from the stream, so skipping it changes no draw
+    return int(rng.integers(n)) if n > 1 else 0
 
 
 def normal_form_random_schedule(w: Sequence[int], N: QMatrix, rng) -> AlgElement:
@@ -304,37 +326,34 @@ def normal_form_random_schedule(w: Sequence[int], N: QMatrix, rng) -> AlgElement
     substitution at any run of five t_0 letters) on a random unreduced
     term.  Terminates because every move lowers (zero count, inversions)
     lexicographically.  Must agree with normal_form exactly.
+
+    Each pick is one rng.integers(n) draw, the term first, then its move;
+    a pick with one choice draws nothing and is skipped.  A term is held as
+    (base, k, moves) for the coefficient base * zeta^k, so a swap only adds
+    to k; coefficients are rotated where two words meet and at the end.
     """
-    N = _check_matrix(N)
-    entries = N.entries
-    state: Dict[Tuple[int, ...], CycNum] = {_check_word(w): ONE}
+    entries = _check_matrix(N).entries
+    word = _check_word(w)
+    state = {word: (ONE, 0, _word_moves(word))}
     while True:
-        pending = [(word, _word_moves(word)) for word in sorted(state)]
-        pending = [(word, moves) for word, moves in pending if moves]
+        pending = sorted(v for v, term in state.items() if term[2])
         if not pending:
             break
-        word, moves = pending[int(rng.integers(len(pending)))]
-        kind, p = moves[int(rng.integers(len(moves)))]
-        coeff = state.pop(word)
+        word = pending[_pick(rng, len(pending))]
+        base, k, moves = state.pop(word)
+        kind, p = moves[_pick(rng, len(moves))]
         if kind == "swap":
             i, j = word[p], word[p + 1]
-            moved = [(word[:p] + (j, i) + word[p + 2:], coeff.times_root(entries[i][j]))]
+            moved = [(word[:p] + (j, i) + word[p + 2:], base, k + entries[i][j])]
         else:
-            neg = -coeff
-            moved = [(word[:p] + (k,) * 5 + word[p + 5:], neg) for k in range(1, 5)]
-        for new, add in moved:
-            prev = state.get(new)
-            total = add if prev is None else prev + add
-            if total:
-                state[new] = total
-            elif new in state:
-                del state[new]
-    acc: Dict[Monomial, CycNum] = {}
-    for word, coeff in state.items():
-        counts = [0] * 5
-        for letter in word:
-            counts[letter] += 1
-        m = tuple(counts)
-        prev = acc.get(m)
-        acc[m] = coeff if prev is None else prev + coeff
-    return AlgElement(acc)
+            neg = -base
+            moved = [(word[:p] + (i,) * 5 + word[p + 5:], neg, k) for i in range(1, 5)]
+        for new, base, k in moved:
+            prev = state.pop(new, None)
+            if prev is None:
+                state[new] = (base, k, _word_moves(new))
+            elif total := prev[0].times_root(prev[1]) + base.times_root(k):
+                state[new] = (total, 0, prev[2])
+    # a word without moves is sorted, so it is its own monomial
+    return AlgElement({tuple(map(word.count, range(5))): base.times_root(k)
+                       for word, (base, k, _) in state.items()})

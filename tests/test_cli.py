@@ -381,19 +381,24 @@ def test_report_smoke(capsys):
 
 
 # SHA-256 of stdout recorded before genericity became one array test and
-# rewriting coefficients took the root-of-unity fast paths; a run of the same
-# code twice cannot catch a byte that such a change moves
+# rewriting coefficients took the root-of-unity fast paths, and before
+# normal_form counted inversions by letter counts; a run of the same code
+# twice cannot catch a byte that such a change moves.  MATRIX stands for the
+# canonical matrix file; the word has 26 t_0 letters, so it expands t_0^25.
+LONG_WORD = ",".join(map(str, [4, 0, 3, 0, 2, 0, 1, 0] * 6 + [0, 0, 2, 4, 3, 1]))
 PINNED_STDOUT = {
-    ("report", "--seed", "1"):
-        "55a91e185b53d9c0072513cae888e4618ec38f07bd2527d9187c2f0a2bda36d7",
     ("classify", "--actions", "permute,twist"):
         "95fabd4c4146e26a40e34a92686577b82466e6c6a8a9e02e9be8f5327ae246e2",
+    ("report", "--seed", "1"):
+        "55a91e185b53d9c0072513cae888e4618ec38f07bd2527d9187c2f0a2bda36d7",
+    ("normal-form", "--matrix", "MATRIX", "--word", LONG_WORD):
+        "f5e925e7a1ec75baee098a59fcc4492a211054207c55a8a2dba0b45709a756af",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
-def test_stdout_matches_pinned_hash(capsys, argv):
-    assert main(list(argv)) == 0
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT))
+def test_stdout_matches_pinned_hash(capsys, matrix_file, argv):
+    assert main([matrix_file if a == "MATRIX" else a for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 

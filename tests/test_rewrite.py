@@ -131,6 +131,19 @@ def test_normal_form_is_idempotent_on_basis_words():
         assert coeff == ONE
 
 
+def test_normal_form_collects_the_pairwise_inversion_sum():
+    # the definition: zeta^s with s the sum of n_ij over all letter pairs
+    # i before j with i > j, times the normal form of the sorted word
+    rng = np.random.default_rng(300)
+    for N in [CANONICAL] + sample_admissible(2, seed=9):
+        for length in [0, 1, 2, 17, 64, 150, 300] + list(rng.integers(0, 301, size=8)):
+            word = [int(x) for x in rng.choice(5, size=length, p=[0.1] + [0.225] * 4)]
+            s = sum(N.entries[a][b] for p, a in enumerate(word)
+                    for b in word[p + 1:] if a > b)
+            assert normal_form(word, N) == \
+                normal_form(sorted(word), N).scale(root_power(s))
+
+
 def test_normal_form_rejects_bad_letters():
     with pytest.raises(ValueError):
         normal_form((0, 7), CANONICAL)
@@ -158,9 +171,12 @@ def test_multiply_matches_word_concatenation():
 
 def test_multiply_with_field_coefficients_matches_general_product():
     # Fraction coordinates take the coefficients off the roots of unity, and
-    # words with ten or more t_0 give quintic signs of 2
+    # words with ten or more t_0 give quintic signs of 2; the ten units
+    # +-zeta^k, multiplied by rotation, meet both units and Fractions on
+    # either side
     assert CycNum((2, 0, 0, 0)) in normal_form((0,) * 10, CANONICAL).terms.values()
     rng = np.random.default_rng(707)
+    units = [root_power(k) * sign for k in range(5) for sign in (1, -1)]
 
     def coeff():
         return CycNum([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
@@ -170,12 +186,26 @@ def test_multiply_with_field_coefficients_matches_general_product():
         letters = [0] * zeros + [int(x) for x in rng.integers(0, 5, size=rng.integers(0, 6))]
         return tuple(int(x) for x in rng.permutation(letters))
 
-    for k in range(40):
+    pairs = [(coeff(), coeff()) for _ in range(40)]
+    for k, unit in enumerate(units):
+        partner = units[(3 * k + 1) % 10], coeff()
+        pairs += [(unit, d) for d in partner] + [(d, unit) for d in partner]
+    for k, (c, d) in enumerate(pairs):
         u, v = word(10 if k % 4 == 0 else 0), word(10 if k % 4 == 1 else 0)
-        c, d = coeff(), coeff()
         x, y = normal_form(u, CANONICAL), normal_form(v, CANONICAL)
         assert multiply(x.scale(c), y.scale(d), CANONICAL) == \
             normal_form(u + v, CANONICAL).scale(c * d)
+
+
+def test_multiply_drops_cancelled_terms():
+    # t_0^4 t_0 = -(t_1^5 + ... + t_4^5) cancels t_1^4 t_1 = t_1^5
+    x = normal_form((0,) * 4, CANONICAL) + normal_form((1,) * 4, CANONICAL)
+    y = normal_form((0,), CANONICAL) + normal_form((1,), CANONICAL)
+    product = multiply(x, y, CANONICAL)
+    assert (0, 5, 0, 0, 0) not in product.terms
+    assert product == sum((normal_form(w, CANONICAL) for w in
+                           [(0,) * 5, (0, 0, 0, 0, 1), (1, 1, 1, 1, 0), (1,) * 5]),
+                          AlgElement.zero())
 
 
 def test_multiply_matches_structure_table():
@@ -301,3 +331,64 @@ def test_random_schedule_handles_repeated_quintic_blocks():
     a = normal_form(word, CANONICAL)
     for _ in range(10):
         assert normal_form_random_schedule(word, CANONICAL, rng) == a
+
+
+def _reference_random_schedule(w, N, rng):
+    """The schedule reducer with one CycNum per word, moves recomputed for
+    every word at every step, and a draw for every pick, one choice or not."""
+    entries = N.entries
+
+    def moves_of(word):
+        moves = [("swap", p) for p in range(len(word) - 1) if word[p] > word[p + 1]]
+        run = 0
+        for p, letter in enumerate(word):
+            run = run + 1 if letter == 0 else 0
+            if run >= 5:
+                moves.append(("quintic", p - 4))
+        return moves
+
+    state = {tuple(w): ONE}
+    while True:
+        pending = [(word, moves_of(word)) for word in sorted(state)]
+        pending = [(word, moves) for word, moves in pending if moves]
+        if not pending:
+            break
+        word, moves = pending[int(rng.integers(len(pending)))]
+        kind, p = moves[int(rng.integers(len(moves)))]
+        coeff = state.pop(word)
+        if kind == "swap":
+            i, j = word[p], word[p + 1]
+            moved = [(word[:p] + (j, i) + word[p + 2:], coeff * root_power(entries[i][j]))]
+        else:
+            moved = [(word[:p] + (k,) * 5 + word[p + 5:], -coeff) for k in range(1, 5)]
+        for new, add in moved:
+            total = state.get(new, CycNum()) + add
+            if total:
+                state[new] = total
+            else:
+                state.pop(new, None)
+    out = AlgElement.zero()
+    for word, coeff in state.items():
+        out = out + AlgElement.monomial([word.count(i) for i in range(5)], coeff)
+    return out
+
+
+def test_random_schedule_draws_the_reference_stream():
+    # same picks from the same stream: equal results word by word, and the
+    # generators end in the same state
+    rng = np.random.default_rng(406)
+    words = []
+    for k in range(300):
+        letters = [int(x) for x in rng.integers(0, 5, size=rng.integers(0, 8))]
+        if k % 2:
+            p = int(rng.integers(0, len(letters) + 1))
+            letters[p:p] = [0] * int(rng.integers(5, 8))
+        words.append(tuple(letters))
+    assert sum(1 for w in words if (0,) * 5 in [w[p:p + 5] for p in range(len(w))]) >= 150
+    matrices = [CANONICAL] + sample_admissible(1, seed=12)
+    new, ref = np.random.default_rng(407), np.random.default_rng(407)
+    for k, word in enumerate(words):
+        N = matrices[k % 2]
+        assert normal_form_random_schedule(word, N, new) == \
+            _reference_random_schedule(word, N, ref)
+    assert new.bit_generator.state == ref.bit_generator.state
