@@ -18,7 +18,7 @@ with no floating-point arithmetic anywhere a theorem is decided:
   - cli:         the `qfermat` command-line entry point
 """
 
-from .cyclotomic import CycNum, Mod5, cyc_inv, cyc_mul, root_power
+from .cyclotomic import CycNum, root_power
 from .errors import BudgetExceededError, PreconditionError, ToolkitError
 from .indices import (
     CarryVector,
@@ -82,11 +82,8 @@ __all__ = [
     "ToolkitError",
     "PreconditionError",
     "BudgetExceededError",
-    "Mod5",
     "CycNum",
     "root_power",
-    "cyc_mul",
-    "cyc_inv",
     "MultiIndex",
     "CarryVector",
     "enumerate_index_set",

@@ -18,6 +18,11 @@ stderr and a nonzero exit status: 2 for usage and parse errors, 3 for
 precondition violations, 4 for an exceeded verification budget, 5 for a
 failed internal consistency check (such as the two center computations
 disagreeing), and 1 for a verification that ran but found violations.
+
+main(argv, stdout, stderr) is the one entry point, for the console script
+and for programmatic use: each subcommand's parser carries its handler, and
+the handler reads the parsed options, so every option and its default is
+declared once, in the parser.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,30 +37,7 @@ import numpy as np
 from . import cohomology, fiber, indices, qmatrix, rewrite, structure
 from .errors import BudgetExceededError, PreconditionError, ToolkitError
 
-__all__ = ["RunConfig", "run", "main"]
-
-_ACTION_NAMES = ("scale", "permute", "twist")
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; built by main() from argv."""
-
-    command: str
-    matrix_path: Optional[str] = None
-    table_path: Optional[str] = None
-    out_path: Optional[str] = None
-    emit_matrices_path: Optional[str] = None
-    actions: Optional[str] = None
-    mode: str = "exact"
-    seed: Optional[int] = None
-    budget_seconds: Optional[float] = None
-    point: Optional[str] = None
-    twists: Optional[str] = None
-    at: Optional[int] = None
-    cohomology: bool = False
-    word: Optional[str] = None
-    emit: str = "json"
+__all__ = ["main"]
 
 
 class _CliError(Exception):
@@ -155,12 +136,12 @@ def _load_table(path: str) -> structure.StructureTable:
 
 def _parse_actions(text: Optional[str]):
     if text is None:
-        return set(_ACTION_NAMES)
+        return set(qmatrix.ALL_ACTIONS)
     names = {tok.strip() for tok in text.split(",") if tok.strip()}
-    bad = names - set(_ACTION_NAMES)
+    bad = names - set(qmatrix.ALL_ACTIONS)
     if bad or not names:
         raise _CliError("usage", "actions must be a nonempty subset of %s"
-                        % (",".join(_ACTION_NAMES),))
+                        % (",".join(qmatrix.ALL_ACTIONS),))
     return names
 
 
@@ -175,52 +156,53 @@ def _parse_word(text: str) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, exit_code, [(path, text), ...])
+# command handlers: each reads the parsed options and returns
+# (payload, exit_code, [(path, text), ...])
 
 
-def _cmd_classify(config: RunConfig):
-    actions = _parse_actions(config.actions)
+def _cmd_classify(args: argparse.Namespace):
+    actions = _parse_actions(args.actions)
     report = qmatrix.classify()
     payload = report.to_json()
     artifacts = []
-    if config.actions is not None and actions != set(_ACTION_NAMES):
+    if args.actions is not None and actions != set(qmatrix.ALL_ACTIONS):
         reps = qmatrix.orbit_representatives(actions)
         payload["selected_actions"] = sorted(actions)
         payload["orbit_count_selected_actions"] = len(reps)
         selected = [m.to_json() for m in reps]
     else:
         selected = payload["canonical_representatives"]
-    if config.emit_matrices_path:
-        artifacts.append((config.emit_matrices_path, _dumps(selected)))
+    if args.emit_matrices:
+        artifacts.append((args.emit_matrices, _dumps(selected)))
     return payload, 0, artifacts
 
 
-def _cmd_build_table(config: RunConfig):
-    matrix = _load_matrix(config.matrix_path)
+def _cmd_build_table(args: argparse.Namespace):
+    matrix = _load_matrix(args.matrix)
     table = structure.build_table(matrix)
-    if not config.out_path:
+    if not args.out:
         raise _CliError("usage", "build-table requires --out for the table file")
     text = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":"),
                       default=_json_default) + "\n"
     payload = {
-        "written": config.out_path,
+        "written": args.out,
         "source_matrix": matrix.to_json(),
         "entries": 625 * 625,
     }
-    return payload, 0, [(config.out_path, text)]
+    return payload, 0, [(args.out, text)]
 
 
-def _cmd_verify(config: RunConfig):
-    table = _load_table(config.table_path)
+def _cmd_verify(args: argparse.Namespace):
+    table = _load_table(args.table)
     report = structure.verify_associativity(
-        table, config.mode, seed=config.seed,
-        budget_seconds=config.budget_seconds)
+        table, args.mode, seed=args.seed,
+        budget_seconds=args.budget_seconds)
     return report.to_json(), 0 if report.ok else 1, []
 
 
-def _cmd_fiber(config: RunConfig):
-    table = _load_table(config.table_path)
-    point = fiber.FiberPoint.parse(config.point)
+def _cmd_fiber(args: argparse.Namespace):
+    table = _load_table(args.table)
+    point = fiber.FiberPoint.parse(args.point)
     algebra = fiber.specialize(table, point)
     radical_dim = fiber.radical_dim(algebra)
     payload = {
@@ -232,18 +214,18 @@ def _cmd_fiber(config: RunConfig):
     return payload, 0, []
 
 
-def _cmd_hilbert(config: RunConfig):
-    twists = cohomology.TwistMultiset.parse(config.twists)
+def _cmd_hilbert(args: argparse.Namespace):
+    twists = cohomology.TwistMultiset.parse(args.twists)
     poly = cohomology.hilbert_polynomial(twists)
     payload = {
         "twists": twists.to_json(),
         "polynomial": poly.to_json(),
     }
-    if config.at is not None:
-        payload["at"] = config.at
-        payload["value"] = str(poly(config.at))
-    if config.cohomology:
-        window = [config.at] if config.at is not None else list(range(-5, 6))
+    if args.at is not None:
+        payload["at"] = args.at
+        payload["value"] = str(poly(args.at))
+    if args.cohomology:
+        window = [args.at] if args.at is not None else list(range(-5, 6))
         rows = []
         for n in window:
             h = cohomology.sheaf_cohomology(twists, n)
@@ -252,9 +234,9 @@ def _cmd_hilbert(config: RunConfig):
     return payload, 0, []
 
 
-def _cmd_normal_form(config: RunConfig):
-    matrix = _load_matrix(config.matrix_path)
-    word = _parse_word(config.word or "")
+def _cmd_normal_form(args: argparse.Namespace):
+    matrix = _load_matrix(args.matrix)
+    word = _parse_word(args.word)
     try:
         element = rewrite.normal_form(word, matrix)
     except PreconditionError:
@@ -268,7 +250,7 @@ def _cmd_normal_form(config: RunConfig):
     return payload, 0, []
 
 
-def _cmd_report(config: RunConfig):
+def _cmd_report(args: argparse.Namespace):
     classification = qmatrix.classify()
     base = qmatrix.canonical_generic_representative()
     table = structure.build_table(base)
@@ -316,58 +298,11 @@ def _cmd_report(config: RunConfig):
         "dimensions": dims,
         "cohomology": coh,
     }
-    if config.seed is not None:
+    if args.seed is not None:
         sampled = structure.verify_associativity(
-            table, "sampled=100000", seed=config.seed)
+            table, "sampled=100000", seed=args.seed)
         payload["sampled_verification"] = sampled.to_json()
     return payload, 0, []
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "build-table": _cmd_build_table,
-    "verify": _cmd_verify,
-    "fiber": _cmd_fiber,
-    "hilbert": _cmd_hilbert,
-    "normal-form": _cmd_normal_form,
-    "report": _cmd_report,
-}
-
-
-def run(config: RunConfig, stdout=None, stderr=None) -> int:
-    """Execute one configured command; returns the process exit status."""
-    out = stdout if stdout is not None else sys.stdout
-    err = stderr if stderr is not None else sys.stderr
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        record = _CliError("usage", "unknown command %r" % (config.command,))
-        err.write(_dumps(record.record()))
-        return record.exit_code()
-    try:
-        payload, code, artifacts = handler(config)
-    except _CliError as exc:
-        err.write(_dumps(exc.record()))
-        return exc.exit_code()
-    except ToolkitError as exc:
-        # anything but a budget or precondition failure is a broken invariant
-        kind = ("budget" if isinstance(exc, BudgetExceededError) else
-                "precondition" if isinstance(exc, PreconditionError) else "internal")
-        record = _CliError(kind, str(exc))
-        err.write(_dumps(record.record()))
-        return record.exit_code()
-    for path, text in artifacts:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            record = _CliError("usage", "cannot write %s: %s" % (path, exc.strerror or exc))
-            err.write(_dumps(record.record()))
-            return record.exit_code()
-    if config.emit == "human":
-        out.write("\n".join(_human_lines(payload)) + "\n")
-    else:
-        out.write(_dumps(payload))
-    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -383,31 +318,36 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify quantum parameter matrices")
+    p.set_defaults(handler=_cmd_classify)
     p.add_argument("--actions", default=None,
                    help="comma-separated subset of scale,permute,twist")
-    p.add_argument("--emit-matrices", dest="emit_matrices", default=None,
+    p.add_argument("--emit-matrices", default=None,
                    metavar="OUT.json", help="write canonical representatives here")
 
     p = sub.add_parser("build-table", help="build the structure-constant table")
+    p.set_defaults(handler=_cmd_build_table)
     p.add_argument("--matrix", required=True, help="5x5 integer matrix JSON file")
     p.add_argument("--out", required=True, help="destination table JSON file")
 
     p = sub.add_parser("verify", help="verify associativity of a stored table")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--table", required=True, help="table JSON file")
     p.add_argument("--mode", default="exact",
                    help="exact | full | sampled=N (default exact)")
     p.add_argument("--seed", type=int, default=None,
                    help="nonnegative seed, required for sampled mode")
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float, default=600.0,
+    p.add_argument("--budget-seconds", type=float, default=600.0,
                    help="abort full or sampled mode after this many seconds; "
                         "a nonnegative number (default 600)")
 
     p = sub.add_parser("fiber", help="analyze the fiber algebra at a point")
+    p.set_defaults(handler=_cmd_fiber)
     p.add_argument("--table", required=True, help="table JSON file")
     p.add_argument("--point", required=True,
                    help="comma-separated coordinates summing to zero")
 
     p = sub.add_parser("hilbert", help="Hilbert polynomial of a twist multiset")
+    p.set_defaults(handler=_cmd_hilbert)
     p.add_argument("--twists", required=True,
                    help='multiset like "0:1,-1:121,-2:381,-3:121,-4:1"')
     p.add_argument("--at", type=int, default=None, help="evaluate at this twist")
@@ -415,45 +355,49 @@ def _build_parser() -> _Parser:
                    help="include cohomology dimension tables")
 
     p = sub.add_parser("normal-form", help="rewrite a generator word")
+    p.set_defaults(handler=_cmd_normal_form)
     p.add_argument("--matrix", required=True, help="5x5 integer matrix JSON file")
     p.add_argument("--word", required=True,
                    help="comma-separated generator letters like 1,0,3,3")
 
     p = sub.add_parser("report", help="run the full reproduction suite")
+    p.set_defaults(handler=_cmd_report)
     p.add_argument("--seed", type=int, default=None,
                    help="also run seeded sampled verification")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        matrix_path=getattr(args, "matrix", None),
-        table_path=getattr(args, "table", None),
-        out_path=getattr(args, "out", None),
-        emit_matrices_path=getattr(args, "emit_matrices", None),
-        actions=getattr(args, "actions", None),
-        mode=getattr(args, "mode", "exact"),
-        seed=getattr(args, "seed", None),
-        budget_seconds=getattr(args, "budget_seconds", None),
-        point=getattr(args, "point", None),
-        twists=getattr(args, "twists", None),
-        at=getattr(args, "at", None),
-        cohomology=getattr(args, "cohomology", False),
-        word=getattr(args, "word", None),
-        emit=args.emit,
-    )
+def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
+    """Run one command line (default sys.argv[1:]) and return the exit status.
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    The payload goes to stdout and an error record to stderr, sys.stdout and
+    sys.stderr unless given."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        payload, code, artifacts = args.handler(args)
+        for path, text in artifacts:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise _CliError("usage", "cannot write %s: %s" % (path, exc.strerror or exc))
     except _CliError as exc:
-        sys.stderr.write(_dumps(exc.record()))
-        return exc.exit_code()
-    return run(_config_from_args(args))
+        record = exc
+    except ToolkitError as exc:
+        # anything but a budget or precondition failure is a broken invariant
+        kind = ("budget" if isinstance(exc, BudgetExceededError) else
+                "precondition" if isinstance(exc, PreconditionError) else "internal")
+        record = _CliError(kind, str(exc))
+    else:
+        out = stdout if stdout is not None else sys.stdout
+        if args.emit == "human":
+            out.write("\n".join(_human_lines(payload)) + "\n")
+        else:
+            out.write(_dumps(payload))
+        return code
+    (stderr if stderr is not None else sys.stderr).write(_dumps(record.record()))
+    return record.exit_code()
 
 
 if __name__ == "__main__":

@@ -1,17 +1,16 @@
-"""Exact scalar arithmetic: integers mod 5 and the cyclotomic field Q(zeta_5).
+"""Exact scalar arithmetic in the cyclotomic field Q(zeta_5).
 
-Every scalar in the system is either an exponent living in Z/5 or a value in
-Q(zeta_5), with zeta_5 a fixed primitive fifth root of unity.  CycNum stores
-coordinates on the power basis {1, z, z^2, z^3} with Fraction entries; powers
-z^4 and higher are rewritten through the minimal polynomial
-1 + z + z^2 + z^3 + z^4 = 0, so equality of values is literally equality of
-coordinate tuples.
+Every scalar in the system is either an exponent in Z/5, kept as a plain int
+in 0..4, or a value in Q(zeta_5), with zeta_5 a fixed primitive fifth root
+of unity.  CycNum stores coordinates on the power basis {1, z, z^2, z^3}
+with Fraction entries; powers z^4 and higher are rewritten through the
+minimal polynomial 1 + z + z^2 + z^3 + z^4 = 0, so equality of values is
+literally equality of coordinate tuples.
 
-Most scalars downstream are pure roots of unity, so there is a compact
-exponent-only fast path: carry a Mod5 exponent around and realize it with
-root_power only when a genuine field element is needed, or apply it to one
-with times_root, a rotation of coordinates.  The two views must agree
-wherever both apply (root_power is a homomorphism from Z/5).
+Most scalars downstream are pure roots of unity, so callers carry the
+exponent and realize it with root_power only when a genuine field element is
+needed, or apply it to one with times_root, a rotation of coordinates.  The
+two views agree wherever both apply (root_power is a homomorphism from Z/5).
 """
 
 from __future__ import annotations
@@ -21,68 +20,11 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 __all__ = [
-    "Mod5",
     "CycNum",
     "root_power",
-    "cyc_mul",
-    "cyc_inv",
     "ZERO",
     "ONE",
 ]
-
-
-class Mod5(int):
-    """Residue in Z/5, kept reduced under ring operations.
-
-    Subclasses int, so instances index arrays and hash like plain integers;
-    arithmetic returns reduced Mod5 values and nonzero elements are
-    invertible.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: int) -> "Mod5":
-        return super().__new__(cls, int(value) % 5)
-
-    def __add__(self, other):
-        return Mod5(int(self) + int(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Mod5(int(self) - int(other))
-
-    def __rsub__(self, other):
-        return Mod5(int(other) - int(self))
-
-    def __mul__(self, other):
-        return Mod5(int(self) * int(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Mod5(-int(self))
-
-    def __pow__(self, exponent, modulo=None):
-        e = int(exponent)
-        if e < 0:
-            return self.inv() ** (-e)
-        return Mod5(pow(int(self), e, 5))
-
-    def inv(self) -> "Mod5":
-        if int(self) == 0:
-            raise ZeroDivisionError("0 is not invertible mod 5")
-        # a^4 = 1 for a != 0, so a^3 is the inverse
-        return Mod5(pow(int(self), 3, 5))
-
-    def __truediv__(self, other):
-        return self * Mod5(other).inv()
-
-    def __rtruediv__(self, other):
-        return Mod5(other) * self.inv()
-
-    def __repr__(self):
-        return "Mod5(%d)" % int(self)
 
 
 CoeffLike = Union[int, str, Fraction]
@@ -287,13 +229,3 @@ _ROOTS = (
 def root_power(k) -> CycNum:
     """zeta_5^k in canonical form; root_power(0) is the identity."""
     return _ROOTS[int(k) % 5]
-
-
-def cyc_mul(x: CycNum, y: CycNum) -> CycNum:
-    """Exact field product in canonical form."""
-    return x * y
-
-
-def cyc_inv(x: CycNum) -> CycNum:
-    """Exact multiplicative inverse; raises ZeroDivisionError on 0."""
-    return x.inv()

@@ -20,8 +20,8 @@ alongside as an independent cross-check.  Second, trace(L_{e_a} L_{e_b})
 vanishes unless b is the additive inverse of a, so the trace Gram matrix is
 a permuted diagonal and the radical has a monomial basis; for points with
 integer coordinates the diagonal sums are accumulated in exact int64
-vectors over the five root-of-unity exponents, with a direct field-element
-path for everything else.
+vectors over the five root-of-unity exponents, and everything else takes
+the one paired entry T(e_a, e_{-a}) per row from the generic gram_entry.
 
 The same center/radical machinery runs over any small monomial algebra
 (basis products land on a single basis line); MonomialAlgebra covers test
@@ -328,28 +328,14 @@ def _s_values_int(F: FiberAlgebra) -> np.ndarray:
     return acc
 
 
-def _s_value_exact(F: FiberAlgebra, a: int) -> CycNum:
-    """trace(L_{e_a} L_{e_b}) with b the additive inverse of a, directly."""
-    t = indices.tables()
-    b = int(t.neg[a])
-    total = ZERO
-    for c in range(625):
-        s1 = F.scalar(b, c)
-        if not s1:
-            continue
-        s2 = F.scalar(a, F.target(b, c))
-        if s2:
-            total = total + s1 * s2
-    return total
-
-
 def _radical_flags(F: FiberAlgebra) -> np.ndarray:
     """Boolean mask over basis positions a with s(a) = 0, where s(a) is the
     single potentially-nonzero Gram value in row a (at column -a)."""
     if F._subset_ints is not None:
         acc = _s_values_int(F)
         return (acc == acc[:, :1]).all(axis=1)
-    return np.array([not _s_value_exact(F, a) for a in range(625)])
+    neg = indices.tables().neg
+    return np.array([not gram_entry(F, a, int(neg[a])) for a in range(625)])
 
 
 def _gram_rows_generic(alg: Algebra) -> List[Dict[int, CycNum]]:
@@ -379,12 +365,7 @@ def gram_entry(alg: Algebra, i: int, j: int) -> CycNum:
 
 def radical_dim(F: Algebra) -> int:
     """Dimension of the kernel of the trace form (the Jacobson radical)."""
-    if isinstance(F, FiberAlgebra):
-        flags = _radical_flags(F)
-        # kernel vectors are supported where the paired Gram value vanishes
-        return int(flags.sum())
-    rows = _gram_rows_generic(F)
-    return len(kernel_basis(rows, F.dim, one=ONE))
+    return len(radical_basis(F))
 
 
 def radical_basis(F: Algebra) -> List[Dict[int, CycNum]]:

@@ -343,23 +343,32 @@ def _labels(actions: FrozenSet[str]) -> np.ndarray:
             return label
 
 
+def _code(N) -> int:
+    """The code of an admissible N: its free entries as a base-5 number."""
+    N = _coerce(N)
+    if not is_admissible(N):
+        raise PreconditionError("orbit requires an admissible matrix")
+    return sum(N.entries[i][j] * int(w) for (i, j), w in zip(_FREE_PAIRS, _PLACES))
+
+
 def orbit(N, actions=ALL_ACTIONS) -> Set[QMatrix]:
     """The orbit of an admissible N under the selected actions.
 
     Twists are the zero-sum ones, so every member stays admissible; scaling
     uses all nonzero factors and permutations all of S_5.
     """
-    N = _coerce(N)
-    if not is_admissible(N):
-        raise PreconditionError("orbit requires an admissible matrix")
+    code = _code(N)
     label = _labels(_check_actions(actions))
-    code = sum(N.entries[i][j] * int(w) for (i, j), w in zip(_FREE_PAIRS, _PLACES))
     return set(_matrices(np.flatnonzero(label == label[code])))
 
 
 def canonical_representative(N, actions=ALL_ACTIONS) -> QMatrix:
-    """Lexicographic minimum of the orbit, matrices ordered row-major."""
-    return min(orbit(N, actions))
+    """Lexicographic minimum of the orbit, matrices ordered row-major.
+
+    That is the matrix at the orbit's label, its least code, because code
+    order is row-major order."""
+    code = _code(N)
+    return _matrices(_labels(_check_actions(actions))[[code]])[0]
 
 
 def orbit_representatives(actions=ALL_ACTIONS) -> List[QMatrix]:

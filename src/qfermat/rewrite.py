@@ -244,17 +244,27 @@ def normal_form(w: Sequence[int], N: QMatrix) -> AlgElement:
         {m: _signed_root(s, c) for m, c in _eliminate_t0(tuple(counts))})
 
 
-# +-zeta^k by coordinates, to (k, sign): a product with one is a rotation
-_UNITS = {(root_power(k) * sign).coeffs: (k, sign) for k in range(5) for sign in (1, -1)}
+# +-zeta^k by integer coordinates, to (k, sign): a product with one is a rotation
+_UNITS = {tuple(int(x) for x in (root_power(k) * sign).coeffs): (k, sign)
+          for k in range(5) for sign in (1, -1)}
+
+
+def _unit(c: CycNum) -> Optional[Tuple[int, int]]:
+    """(k, sign) if c is sign * zeta^k, else None; keyed by numerators, since
+    hashing a Fraction costs a modular inverse."""
+    w, x, y, z = c.coeffs
+    if w.denominator == x.denominator == y.denominator == z.denominator == 1:
+        return _UNITS.get((w.numerator, x.numerator, y.numerator, z.numerator))
+    return None
 
 
 def multiply(x: AlgElement, y: AlgElement, N: QMatrix) -> AlgElement:
     """Product in the algebra, bilinear over the standard monomials."""
     entries = _check_matrix(N).entries
-    ys = [(f, d, _UNITS.get(d.coeffs)) for f, d in y.terms.items()]
+    ys = [(f, d, _unit(d)) for f, d in y.terms.items()]
     acc: Dict[Monomial, CycNum] = {}
     for e, c in x.terms.items():
-        cu = _UNITS.get(c.coeffs)
+        cu = _unit(c)
         for f, d, du in ys:
             s = _cross_exponent(e, f, entries)
             if cu is not None:

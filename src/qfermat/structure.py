@@ -27,7 +27,8 @@ strict lower triangle of N makes each row of E a row of one fixed table of
 four-digit dot products mod 5, so building E is an integer row gather and
 no floating point enters.  The verification kernels work in int8 in place: a
 cocycle or linearity defect lies in [-8, 8], so it is 0 mod 5 exactly when
-its absolute value is 0 or 5; recorded violations recompute both sides.
+its absolute value is 0 or 5 (one helper, _nonzero_mod5, holds that rule);
+recorded violations recompute both sides.
 A position is four base-5 digits, so translating every index by b rolls
 the four digit axes: the full-triple and linearity kernels read shifted
 terms such as E(a+b, c) and E(a, b+c) as rows or columns of E translated
@@ -36,7 +37,6 @@ by one index, never through a gather by the sum index.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,7 +45,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import indices
-from .cyclotomic import CycNum, Mod5, ZERO, root_power
+from .cyclotomic import CycNum, ZERO, root_power
 from .errors import BudgetExceededError, PreconditionError
 from .indices import CarryVector, MultiIndex
 from .qmatrix import QMatrix, is_admissible
@@ -120,21 +120,22 @@ class StructureTable:
 
     # -- element access --------------------------------------------------
 
-    def coeff_exponent(self, a, b) -> Mod5:
-        return Mod5(int(self.exp[indices.position(a), indices.position(b)]))
+    def coeff_exponent(self, a, b) -> int:
+        """E(a,b) in 0..4."""
+        return int(self.exp[indices.position(a), indices.position(b)])
 
     def coefficient(self, a, b) -> CycNum:
         """The scalar part zeta^{E(a,b)} as a field element."""
         return root_power(self.coeff_exponent(a, b))
 
-    def entry(self, a, b) -> Tuple[Mod5, CarryVector, MultiIndex]:
+    def entry(self, a, b) -> Tuple[int, CarryVector, MultiIndex]:
         """(coefficient exponent, carry vector, target index) at (a, b)."""
         i, j = indices.position(a), indices.position(b)
         shared = indices.tables()
         target = MultiIndex(tuple(int(d) for d in shared.idx[shared.sum_idx[i, j]]))
         code = int(shared.carry_code[i, j])
         carry = CarryVector(tuple(bool(code >> k & 1) for k in range(5)))
-        return Mod5(int(self.exp[i, j])), carry, target
+        return int(self.exp[i, j]), carry, target
 
     def replace_exponent(self, a, b, new_exp: int) -> "StructureTable":
         """Copy of the table with one exponent overwritten (fault injection)."""
@@ -262,15 +263,20 @@ def _translate(x: np.ndarray, b: int, axis: int = 0) -> np.ndarray:
     return np.roll(x.reshape(shape), shift, axis=tuple(range(axis, axis + 4))).reshape(x.shape)
 
 
+def _nonzero_mod5(d: np.ndarray) -> np.ndarray:
+    """Mask of the entries of an int8 array d with values in [-8, 8] that are
+    not 0 mod 5: such a value is 0 mod 5 exactly when |d| is 0 or 5.  Takes
+    the absolute value of d in place."""
+    np.abs(d, out=d)
+    return (d != 0) & (d != 5)
+
+
 def _nonlinear(exp: np.ndarray, c: int) -> np.ndarray:
-    """Mask of (a, b) with E(a+c, b) != E(a,b) + E(c,b) mod 5.  Works in int8
-    in place: the difference lies in [-8, 4], so it is 0 mod 5 exactly when
-    its absolute value is 0 or 5."""
+    """Mask of (a, b) with E(a+c, b) != E(a,b) + E(c,b) mod 5, in int8 in place."""
     d = _translate(exp, c)
     d -= exp
     d -= exp[c]
-    np.abs(d, out=d)
-    return (d != 0) & (d != 5)
+    return _nonzero_mod5(d)
 
 
 def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -> None:
@@ -337,15 +343,13 @@ def _verify_full_triple(table: StructureTable, report: AssociativityReport,
             b, (h0, h1) = 25 * high + low, divmod(high, 5)
             # the (a, c) slab of E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) in
             # int8, with a and c each split as (5, 5, 25) so that both slices
-            # stay views; the values lie in [-8, 8], so they are 0 mod 5
-            # exactly when |d| is 0 or 5
+            # stay views
             np.subtract(rows[h0:h0 + 5, h1:h1 + 5].reshape(5, 5, 25, 5, 5, 25),
                          cols[:, h0:h0 + 5, h1:h1 + 5].reshape(5, 5, 25, 5, 5, 25),
                          out=d.reshape(5, 5, 25, 5, 5, 25))
             d += exp[:, b, None]
             d -= exp[b]
-            np.abs(d, out=d)
-            bad = (d != 0) & (d != 5)
+            bad = _nonzero_mod5(d)
             report.checks += 625 * 625
             if bad.any():
                 report.ok = False
@@ -356,11 +360,9 @@ def _verify_full_triple(table: StructureTable, report: AssociativityReport,
         report.violations.append(_cocycle_violation(table, a, b, c))
 
 
-# triples per batch: batch k is the k-th integers(0, 625, (3, 10^6)) draw of
-# the seeded stream, read row by row
-_SAMPLE_CHUNK = 1_000_000
-# triples drawn and evaluated at a time; the three rows of a batch are drawn
-# in lockstep, and every temporary is one slice long
+# triples per slice: slice j of a sampled run is the j-th
+# integers(0, 625, (3, k)) int32 draw of the seeded stream, k = 2^16 except in
+# the last
 _SAMPLE_SLICE = 1 << 16
 
 
@@ -370,49 +372,32 @@ def _verify_sampled(table: StructureTable, n: int, seed: int,
     rng = np.random.default_rng(seed)
     # E and the sum positions read through flat pair codes x * 625 + y
     exp, s = table.exp.ravel(), table.sum_idx.ravel()
-    for lo in range(0, n, _SAMPLE_CHUNK):
+    for lo in range(0, n, _SAMPLE_SLICE):
         _check_budget("sampled", start, budget_seconds)
-        m = min(_SAMPLE_CHUNK, n - lo)
-        sizes = [min(_SAMPLE_SLICE, m - t) for t in range(0, m, _SAMPLE_SLICE)]
-        # an int32 draw gives the values of the default int64 one, and
-        # consecutive calls continue the rows of one (3, m) draw: copies of
-        # the generator at the starts of rows a and b replay those rows,
-        # while rng skips them and then draws row c
-        rows = []
-        for _ in range(2):
-            rows.append(copy.deepcopy(rng))
-            for k in sizes:
-                rng.integers(0, 625, k, dtype=np.int32)
-        row_a, row_b = rows
-        for k in sizes:
-            a = row_a.integers(0, 625, k, dtype=np.int32)
-            b = row_b.integers(0, 625, k, dtype=np.int32)
-            c = rng.integers(0, 625, k, dtype=np.int32)
-            # E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) in int8: the value lies
-            # in [-8, 8], so it is 0 mod 5 exactly when |d| is 0 or 5
-            ab = a * np.int32(625)
-            ab += b
-            bc = b * np.int32(625)
-            bc += c
-            d = exp.take(ab)
-            d -= exp.take(bc)
-            bc = s.take(bc)
-            ab_c = s.take(ab)
-            ab_c *= 625
-            ab_c += c
-            d += exp.take(ab_c)
-            # a * 625 + (b+c), in the array that held a * 625 + b
-            ab -= b
-            ab += bc
-            d -= exp.take(ab)
-            np.abs(d, out=d)
-            bad = np.flatnonzero((d != 0) & (d != 5))
-            report.checks += len(a)
-            for t in bad[:_MAX_RECORDED_VIOLATIONS - len(report.violations)]:
-                report.violations.append(
-                    _cocycle_violation(table, int(a[t]), int(b[t]), int(c[t])))
-            if bad.size:
-                report.ok = False
+        a, b, c = rng.integers(0, 625, (3, min(_SAMPLE_SLICE, n - lo)), dtype=np.int32)
+        # E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) in int8
+        ab = a * np.int32(625)
+        ab += b
+        bc = b * np.int32(625)
+        bc += c
+        d = exp.take(ab)
+        d -= exp.take(bc)
+        bc = s.take(bc)
+        ab_c = s.take(ab)
+        ab_c *= 625
+        ab_c += c
+        d += exp.take(ab_c)
+        # a * 625 + (b+c), in the array that held a * 625 + b
+        ab -= b
+        ab += bc
+        d -= exp.take(ab)
+        bad = np.flatnonzero(_nonzero_mod5(d))
+        report.checks += len(a)
+        for t in bad[:_MAX_RECORDED_VIOLATIONS - len(report.violations)]:
+            report.violations.append(
+                _cocycle_violation(table, int(a[t]), int(b[t]), int(c[t])))
+        if bad.size:
+            report.ok = False
 
 
 def parse_mode(mode: str) -> Tuple[str, Optional[int]]:
@@ -455,14 +440,15 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     its rows and columns translated by b, so no sum_idx is read.  It
     records the first violating triples in (a, b, c) order.
     sampled(n): evaluates n uniformly random triples; requires a seed.
-    Batch k is the k-th integers(0, 625, (3, 10^6)) draw of the seeded
-    stream.  Copies of the generator at the starts of rows a and b draw
-    those rows again in lockstep with row c, one slice of 2^16 triples at a
-    time, so no row is kept and memory does not grow with n.  Each slice is
-    evaluated on the flat pair codes a * 625 + b and b * 625 + c.
+    Slice j, of 2^16 triples (fewer in the last), is by definition the j-th
+    integers(0, 625, (3, k), dtype=int32) draw of the seeded stream, read as
+    the rows a, b and c; each slice is evaluated on the flat pair codes
+    a * 625 + b and b * 625 + c and then dropped, so memory does not grow
+    with n.  It records the first violating triples in draw order.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
-    have passed, checked between slabs of b or batches of triples.  A negative
-    seed and a negative or NaN budget_seconds raise PreconditionError.
+    have passed, checked before each slab of b or slice of triples.  A
+    negative seed and a negative or NaN budget_seconds raise
+    PreconditionError.
 
     Returns a truthy/falsy report carrying the violating triples, if any.
     """

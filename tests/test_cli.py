@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from qfermat import cli
-from qfermat.cli import RunConfig, main, run
+from qfermat import cli, indices
+from qfermat.cli import main
 
 FULL_TWISTS = "0:1,-1:121,-2:381,-3:121,-4:1"
 
@@ -27,9 +27,8 @@ def matrix_file(tmp_path_factory, canonical_matrix):
 @pytest.fixture(scope="session")
 def table_file(tmp_path_factory, matrix_file):
     path = tmp_path_factory.mktemp("cli") / "table.json"
-    code = run(RunConfig(command="build-table", matrix_path=matrix_file,
-                         out_path=str(path)),
-               stdout=io.StringIO(), stderr=io.StringIO())
+    code = main(["build-table", "--matrix", matrix_file, "--out", str(path)],
+                stdout=io.StringIO(), stderr=io.StringIO())
     assert code == 0
     return str(path)
 
@@ -401,6 +400,25 @@ def test_stdout_matches_pinned_hash(capsys, matrix_file, argv):
     assert main([matrix_file if a == "MATRIX" else a for a in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_sampled_violations_match_pinned_hash(capsys, table_file, tmp_path):
+    # pins which triples a seed draws: slice j of sampled verification is the
+    # j-th integers(0, 625, (3, k)) int32 draw, k = 2^16 except in the last
+    # slice.  One exponent is moved by 2, at the pair that
+    # test_corrupted_exponent_detected_by_every_mode corrupts.
+    i, j = indices.position((0, 0, 1, 1, 3)), indices.position((0, 1, 4, 4, 1))
+    data = json.loads(open(table_file).read())
+    row = data["exp"][i]
+    data["exp"][i] = row[:j] + str((int(row[j]) + 2) % 5) + row[j + 1:]
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(data))
+    argv = ["verify", "--table", str(bad_path), "--mode", "sampled=200000", "--seed", "9"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["violations"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e9b96438989e14a7dd7dc74dde7c65eb278fa51fa81b3b72674a3b3f07ee237b")
 
 
 def test_unknown_command(capsys):

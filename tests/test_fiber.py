@@ -191,14 +191,16 @@ def test_rescaling_scales_coefficients_by_carry_count(canonical_table):
 
 def test_cyclotomic_rescaling_keeps_radical_pattern(canonical_table):
     # scale by a root of unity: coordinates leave the integers, so the exact
-    # field path runs; spot-check that the trace values vanish on the same rows
+    # field path runs; spot-check with the generic trace entry that the trace
+    # values vanish on the same rows
     F1 = specialize(canonical_table, DEGENERATE)
     F2 = specialize(canonical_table, FiberPoint(DEGENERATE).scaled(root_power(2)))
     assert F2._subset_ints is None
     flags = fiber._radical_flags(F1)
+    neg = indices.tables().neg
     rng = np.random.default_rng(12)
     for a in rng.integers(0, 625, size=12):
-        assert (not fiber._s_value_exact(F2, int(a))) == bool(flags[int(a)])
+        assert (not fiber.gram_entry(F2, int(a), int(neg[a]))) == bool(flags[int(a)])
 
 
 def test_cyclotomic_rescaling_keeps_center(canonical_table):

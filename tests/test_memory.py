@@ -43,9 +43,8 @@ def test_full_triple_budget(canonical_table):
 
 
 def test_sampled_budget_does_not_grow_with_the_count(canonical_table):
-    # each row of a batch is drawn one slice of 2^16 triples at a time and
-    # not kept, in every batch; rows a and b of one batch alone would take
-    # 3.8 MiB as uint16
+    # each slice of 2^16 triples is drawn, evaluated and dropped; the rows a
+    # and b of 10^6 triples alone would take 3.8 MiB as uint16
     for mode in ("sampled=1000000", "sampled=2000001"):
         assert _peak_mib(lambda: structure.verify_associativity(
             canonical_table, mode, seed=7)) <= 4, mode

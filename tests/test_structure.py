@@ -230,9 +230,17 @@ def _corrupted_pair(table, first_pair):
     return _flipped(table, ([first_pair[0]], [first_pair[1]])), _flipped(table, many)
 
 
+def _sampled_slices(n, seed):
+    # slice j of a sampled run is the j-th integers(0, 625, (3, k)) int32
+    # draw of the seeded stream, k = 2^16 except in the last slice
+    rng = np.random.default_rng(seed)
+    for lo in range(0, n, 1 << 16):
+        yield lo, rng.integers(0, 625, (3, min(1 << 16, n - lo)), dtype=np.int32)
+
+
 def test_sampled_records_are_first_bad_triples(canonical_table):
     n, seed = 150001, 23  # more than two slices of 2^16, not a multiple of it
-    a, b, c = np.random.default_rng(seed).integers(0, 625, (3, n))
+    a, b, c = np.concatenate([abc for _, abc in _sampled_slices(n, seed)], axis=1)
     digits = indices.tables().idx.tolist()
     s = indices.tables().sum_idx.tolist()
     for bad in _corrupted_pair(canonical_table, (a[0], b[0])):
@@ -253,22 +261,20 @@ def test_sampled_records_are_first_bad_triples(canonical_table):
 
 
 def test_sampled_records_across_batches(canonical_table):
-    # batch k is the k-th integers(0, 625, (3, 10^6)) draw of the seeded
-    # stream; the reference evaluates each batch in int64 over sum_idx
+    # the reference evaluates each slice of the seeded stream in int64 over
+    # sum_idx
     n, seed = 2000001, 29
     s = indices.tables().sum_idx
     digits = indices.tables().idx.tolist()
     one, many = _corrupted_pair(canonical_table, (37, 412))
     for bad in (one, many):
         exp = bad.exp.astype(np.int64)
-        rng = np.random.default_rng(seed)
-        expected, batches = [], set()
-        for lo in range(0, n, 10 ** 6):
-            a, b, c = rng.integers(0, 625, (3, min(10 ** 6, n - lo)))
+        expected, slices = [], set()
+        for lo, (a, b, c) in _sampled_slices(n, seed):
             lhs = (exp[a, b] + exp[s[a, b], c]) % 5
             rhs = (exp[b, c] + exp[a, s[b, c]]) % 5
             for t in np.flatnonzero(lhs != rhs)[:20 - len(expected)].tolist():
-                batches.add(lo)
+                slices.add(lo)
                 expected.append({"kind": "cocycle", "a": digits[a[t]],
                                  "b": digits[b[t]], "c": digits[c[t]],
                                  "lhs": int(lhs[t]), "rhs": int(rhs[t])})
@@ -277,8 +283,8 @@ def test_sampled_records_across_batches(canonical_table):
         assert report.violations == expected
         assert not report.ok and report.checks == n
         if bad is one:
-            # one flipped exponent is rare enough that later batches record too
-            assert len(batches) >= 2
+            # one flipped exponent is rare enough that later slices record too
+            assert len(slices) >= 2
 
 
 def test_digit_translation_matches_sum_idx(canonical_table):
