@@ -17,7 +17,10 @@ byte-identical bytes.  Failures produce a machine-readable error record on
 stderr and a nonzero exit status: 2 for usage and parse errors, 3 for
 precondition violations, 4 for an exceeded verification budget, 5 for a
 failed internal consistency check (such as the two center computations
-disagreeing), and 1 for a verification that ran but found violations.
+disagreeing), and 1 for a verification that ran but found violations; an
+error's kind decides its status, in _EXIT_STATUS.  `--help` prints the usage
+text to stdout and returns 0, and an input file that is not a valid matrix
+or table document is a parse error that names the file.
 
 main(argv, stdout, stderr) is the one entry point, for the console script
 and for programmatic use: each subcommand's parser carries its handler, and
@@ -28,6 +31,7 @@ declared once, in the parser.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -35,31 +39,23 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import cohomology, fiber, indices, qmatrix, rewrite, structure
-from .errors import BudgetExceededError, PreconditionError, ToolkitError
+from .errors import PreconditionError, ToolkitError
 
 __all__ = ["main"]
 
+# exit status of each failure kind; 1 is a verification that found violations
+_EXIT_STATUS = {"usage": 2, "parse": 2, "precondition": 3, "budget": 4, "internal": 5}
 
-class _CliError(Exception):
+
+class _CliError(ToolkitError):
+    """A usage or parse failure, with the input file and JSON position if any."""
+
     def __init__(self, kind: str, message: str, path: Optional[str] = None,
                  position: Optional[dict] = None):
         super().__init__(message)
         self.kind = kind
-        self.message = message
         self.path = path
         self.position = position
-
-    def record(self) -> dict:
-        err = {"kind": self.kind, "message": self.message}
-        if self.path is not None:
-            err["path"] = self.path
-        if self.position is not None:
-            err["position"] = self.position
-        return {"error": err}
-
-    def exit_code(self) -> int:
-        return {"usage": 2, "parse": 2, "precondition": 3, "budget": 4,
-                "internal": 5}.get(self.kind, 1)
 
 
 def _json_default(obj):
@@ -85,19 +81,18 @@ def _human_lines(obj, indent: int = 0) -> List[str]:
                 lines.extend(_human_lines(value, indent + 1))
             else:
                 lines.append("%s%s: %s" % (pad, key, json.dumps(value, default=_json_default)))
-    elif isinstance(obj, list):
+    else:
         for value in obj:
             if isinstance(value, (dict, list)):
                 lines.append("%s-" % pad)
                 lines.extend(_human_lines(value, indent + 1))
             else:
                 lines.append("%s- %s" % (pad, json.dumps(value, default=_json_default)))
-    else:
-        lines.append("%s%s" % (pad, json.dumps(obj, default=_json_default)))
     return lines
 
 
-def _load_json(path: str):
+def _load(path: str, build, what: str):
+    """build(document) for the JSON in path; any failure is a parse error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -106,32 +101,22 @@ def _load_json(path: str):
     except UnicodeDecodeError as exc:
         raise _CliError("parse", "%s is not UTF-8 text: %s" % (path, exc.reason), path=path)
     try:
-        return json.loads(text)
+        return build(json.loads(text))
     except json.JSONDecodeError as exc:
         raise _CliError("parse", "invalid JSON in %s: %s" % (path, exc.msg), path=path,
                         position={"line": exc.lineno, "col": exc.colno})
     except RecursionError:
         raise _CliError("parse", "JSON in %s is nested too deeply" % path, path=path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _CliError("parse", "not a %s in %s: %s" % (what, path, exc), path=path)
 
 
 def _load_matrix(path: str) -> qmatrix.QMatrix:
-    data = _load_json(path)
-    try:
-        return qmatrix.QMatrix.from_json(data)
-    except PreconditionError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise _CliError("parse", "not a 5x5 integer matrix in %s: %s" % (path, exc), path=path)
+    return _load(path, qmatrix.QMatrix.from_json, "5x5 integer matrix")
 
 
 def _load_table(path: str) -> structure.StructureTable:
-    data = _load_json(path)
-    try:
-        return structure.StructureTable.from_json(data)
-    except PreconditionError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliError("parse", "not a structure table in %s: %s" % (path, exc), path=path)
+    return _load(path, structure.StructureTable.from_json, "structure table")
 
 
 def _parse_actions(text: Optional[str]):
@@ -371,10 +356,12 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
     """Run one command line (default sys.argv[1:]) and return the exit status.
 
-    The payload goes to stdout and an error record to stderr, sys.stdout and
-    sys.stderr unless given."""
+    The payload, or the usage text for --help, goes to stdout and an error
+    record to stderr, sys.stdout and sys.stderr unless given."""
+    out = stdout if stdout is not None else sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
         payload, code, artifacts = args.handler(args)
         for path, text in artifacts:
             try:
@@ -382,22 +369,21 @@ def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
                     fh.write(text)
             except OSError as exc:
                 raise _CliError("usage", "cannot write %s: %s" % (path, exc.strerror or exc))
-    except _CliError as exc:
-        record = exc
+    except SystemExit as exc:
+        # argparse exits, status 0, after printing the --help text
+        return exc.code
     except ToolkitError as exc:
-        # anything but a budget or precondition failure is a broken invariant
-        kind = ("budget" if isinstance(exc, BudgetExceededError) else
-                "precondition" if isinstance(exc, PreconditionError) else "internal")
-        record = _CliError(kind, str(exc))
+        err = {"kind": exc.kind, "message": str(exc)}
+        for key in ("path", "position"):
+            if getattr(exc, key, None) is not None:
+                err[key] = getattr(exc, key)
+        (stderr if stderr is not None else sys.stderr).write(_dumps({"error": err}))
+        return _EXIT_STATUS[exc.kind]
+    if args.emit == "human":
+        out.write("\n".join(_human_lines(payload)) + "\n")
     else:
-        out = stdout if stdout is not None else sys.stdout
-        if args.emit == "human":
-            out.write("\n".join(_human_lines(payload)) + "\n")
-        else:
-            out.write(_dumps(payload))
-        return code
-    (stderr if stderr is not None else sys.stderr).write(_dumps(record.record()))
-    return record.exit_code()
+        out.write(_dumps(payload))
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
-"""Shared exception types for the toolkit."""
+"""Shared exception types for the toolkit; `kind` names the failure kind."""
 
 
 class ToolkitError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package; raised as such, it
+    reports a broken internal invariant."""
+
+    kind = "internal"
 
 
 class PreconditionError(ToolkitError, ValueError):
@@ -11,6 +14,10 @@ class PreconditionError(ToolkitError, ValueError):
     Subclasses ValueError so callers can catch it with either type.
     """
 
+    kind = "precondition"
+
 
 class BudgetExceededError(ToolkitError, RuntimeError):
     """A bounded-runtime computation ran past its allotted budget."""
+
+    kind = "budget"

@@ -1,6 +1,25 @@
+import tempfile
+
 import pytest
+from hypothesis import configuration
 
 from qfermat import qmatrix, structure
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # hypothesis caches literals of the code under test in its home
+    # directory, ./.hypothesis unless set, as soon as it collects a property
+    # test; a temporary one keeps the checkout clean
+    config.stash[_HYPOTHESIS_HOME] = home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    configuration.set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
+
 
 # The lex-minimal generic matrix, written out so the fixtures do not depend
 # on the enumeration scan; its identity with the computed canonical form is

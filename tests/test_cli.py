@@ -9,6 +9,8 @@ import pytest
 
 from qfermat import cli, indices
 from qfermat.cli import main
+from qfermat.qmatrix import QMatrix
+from test_structure import _drop_last_row, _format_1, _set_digit, _short_row
 
 FULL_TWISTS = "0:1,-1:121,-2:381,-3:121,-4:1"
 
@@ -442,3 +444,61 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "10"
+
+
+# ---------------------------------------------------------
+# one failure path: --help returns through main, and a file that is not a
+# table document is a parse record whatever field is wrong
+# ---------------------------------------------------------
+
+SUBCOMMANDS = ("classify", "build-table", "verify", "fiber", "hilbert",
+               "normal-form", "report")
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS],
+                         ids=lambda argv: " ".join(argv))
+def test_help_returns_status_and_writes_to_stdout_argument(capsys, argv):
+    out, err = io.StringIO(), io.StringIO()
+    assert main(argv, stdout=out, stderr=err) == 0
+    assert out.getvalue().startswith("usage: " + " ".join(["qfermat"] + argv[:-1]))
+    assert err.getvalue() == ""
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+
+
+def _no_exp(data):
+    del data["exp"]
+
+
+def _exp_five(data):
+    data["exp"] = 5
+
+
+def _bare_list(data):
+    return data["exp"]
+
+
+def _non_admissible_source(data):
+    data["source_matrix"] = QMatrix.from_upper([1] + [0] * 9).to_json()
+
+
+MALFORMED_TABLES = [_drop_last_row, _short_row, _set_digit("x"), _set_digit("5"),
+                    _format_1, _no_exp, _exp_five, _bare_list, _non_admissible_source]
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_TABLES, ids=[
+    "624-rows", "short-row", "non-digit", "digit-5", "format-1", "no-exp",
+    "exp-5", "bare-list", "non-admissible-source"])
+def test_malformed_table_is_parse_record(capsys, table_file, tmp_path, corrupt):
+    # a corruption either edits the document or returns its replacement
+    data = json.loads(open(table_file).read())
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(corrupt(data) or data))
+    for argv in (["verify", "--table", str(path)],
+                 ["fiber", "--table", str(path), "--point", "1,-1,0,0,0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        record = json.loads(captured.err)["error"]
+        assert record["kind"] == "parse" and record["path"] == str(path), argv

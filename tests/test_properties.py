@@ -1,0 +1,161 @@
+"""Derandomized property tests: CycNum against sympy, and the CLI's failure
+contract under junk command lines and input files.
+
+derandomize=True fixes the examples, so these tests are as deterministic as
+the rest of the suite; database=None, and the temporary home directory that
+conftest.py sets, keep hypothesis from writing into the checkout.
+"""
+
+import io
+import json
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qfermat.cli import main
+from qfermat.cyclotomic import ONE, CycNum, root_power
+
+# ---------------------------------------------------------
+# CycNum against polynomial arithmetic modulo the 5th cyclotomic polynomial
+# ---------------------------------------------------------
+
+Z = sympy.Symbol("z")
+PHI5 = sympy.Poly(Z ** 4 + Z ** 3 + Z ** 2 + Z + 1, Z, domain="QQ")
+
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+cycnums = st.builds(CycNum, st.lists(coords, min_size=4, max_size=4))
+
+
+def _poly(x):
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * Z ** i
+                          for i, c in enumerate(x.coeffs)), Z, domain="QQ")
+
+
+def _reduce(p):
+    """The CycNum with the coordinates of p mod PHI5 on 1, z, z^2, z^3."""
+    r = p.rem(PHI5)
+    return CycNum(Fraction(int(r.coeff_monomial(Z ** i).p), int(r.coeff_monomial(Z ** i).q))
+                  for i in range(4))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cycnums, cycnums)
+def test_cycnum_field_operations_match_sympy(x, y):
+    assert x + y == _reduce(_poly(x) + _poly(y))
+    assert x * y == _reduce(_poly(x) * _poly(y))
+    if x:
+        assert x.inv() == _reduce(_poly(x).invert(PHI5))
+        assert x * x.inv() == ONE
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(cycnums, cycnums, st.integers(-7, 12))
+def test_times_root_and_galois(x, y, k):
+    assert x.times_root(k) == x * root_power(k)
+    for g in range(1, 5):
+        # z -> z^g is a ring homomorphism, and it is x(z^g) mod PHI5
+        assert (x + y).galois(g) == x.galois(g) + y.galois(g)
+        assert (x * y).galois(g) == x.galois(g) * y.galois(g)
+        assert ONE.galois(g) == ONE
+        assert x.galois(g) == _reduce(_poly(x).compose(sympy.Poly(Z ** g, Z)))
+
+
+# ---------------------------------------------------------
+# CLI robustness: no exception escapes main, and every failure is one record
+# ---------------------------------------------------------
+
+KINDS = {2: {"usage", "parse"}, 3: {"precondition"}, 4: {"budget"}, 5: {"internal"}}
+
+junk = st.text(alphabet=" ,:-/.0123456789eaz", max_size=12)
+keys = st.sampled_from(["format", "source_matrix", "exp", "entries"]) | st.text(
+    alphabet="abcxyz", max_size=3)
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers(-6, 6) | st.floats(-10, 10) | junk,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=20)
+
+
+def _files(canonical_rows):
+    """(matrix file, table file) texts: the canonical matrix, small integer
+    matrices, JSON junk and text junk.  A table here has at most three
+    exponent rows, so none is valid and no fiber computation runs."""
+    matrices = st.just(canonical_rows) | st.lists(
+        st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=4, max_size=6)
+    tables = st.fixed_dictionaries({
+        "format": st.sampled_from([2, 1, "2"]),
+        "source_matrix": matrices | json_docs,
+        "exp": st.lists(st.text(alphabet="0123456789x", max_size=3), max_size=3) | json_docs,
+    })
+    other = json_docs.map(json.dumps) | junk
+    return (matrices.map(json.dumps) | other), (tables.map(json.dumps) | other)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _csv(item, n):
+    return st.lists(item, max_size=n).map(",".join) | junk
+
+
+def _opt(name, values):
+    # --name=value, so that a junk value starting with '-' still reaches it
+    return values.map(lambda v: ["%s=%s" % (name, v)])
+
+
+def _maybe(name, values):
+    return _opt(name, values) | st.just([])
+
+
+def _argvs(matrix, table, out_paths):
+    commands = st.one_of(
+        st.tuples(st.just(["hilbert"]), _opt("--twists", _csv(
+            st.tuples(_ints(-6, 6), _ints(-2, 9)).map(":".join), 3)),
+            _maybe("--at", _ints(-9, 9)), st.just([]) | st.just(["--cohomology"])),
+        st.tuples(st.just(["normal-form", "--matrix=" + matrix]),
+                  _opt("--word", _csv(_ints(-1, 6), 8))),
+        st.tuples(st.just(["build-table", "--matrix=" + matrix]),
+                  _opt("--out", st.sampled_from(out_paths))),
+        st.tuples(st.just(["verify", "--table=" + table]), _maybe("--mode", st.sampled_from(
+            ["exact", "full", "sampled"]) | _ints(-2, 10 ** 6).map("sampled={}".format) | junk),
+            _maybe("--seed", _ints(-2, 9) | junk), _maybe("--budget-seconds", junk)),
+        st.tuples(st.just(["fiber", "--table=" + table]), _opt("--point", _csv(
+            _ints(-3, 3) | st.sampled_from(["1/2", "-1/3", "z", "1/0"]), 6))),
+    )
+    emit = _maybe("--emit", st.sampled_from(["json", "human", "xml"]))
+    return st.tuples(emit, commands).map(lambda t: t[0] + sum(t[1], []))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_cli_failures_are_single_records(fuzz_dir, canonical_matrix):
+    matrix, table = fuzz_dir / "matrix.json", fuzz_dir / "table.json"
+    out_paths = [str(fuzz_dir / "out.json"), str(fuzz_dir),
+                 str(fuzz_dir / "absent" / "out.json"), ""]
+    matrix_files, table_files = _files(canonical_matrix.to_json())
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_argvs(str(matrix), str(table), out_paths),
+           matrix_text=matrix_files, table_text=table_files)
+    def check(argv, matrix_text, table_text):
+        matrix.write_text(matrix_text)
+        table.write_text(table_text)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(argv, stdout=out, stderr=err)
+        assert code in range(6), argv
+        if code in (0, 1):
+            assert err.getvalue() == "", argv
+        else:
+            record = json.loads(err.getvalue())
+            assert list(record) == ["error"], argv
+            assert record["error"]["kind"] in KINDS[code], argv
+            assert out.getvalue() == "", argv
+
+    check()
