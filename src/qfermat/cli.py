@@ -163,10 +163,10 @@ def _cmd_classify(args: argparse.Namespace):
 
 
 def _cmd_build_table(args: argparse.Namespace):
-    matrix = _load_matrix(args.matrix)
-    table = structure.build_table(matrix)
     if not args.out:
         raise _CliError("usage", "build-table requires --out for the table file")
+    matrix = _load_matrix(args.matrix)
+    table = structure.build_table(matrix)
     text = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":"),
                       default=_json_default) + "\n"
     payload = {

@@ -25,10 +25,11 @@ as field elements only at API boundaries; targets and carries are the
 shared arrays of the index module.  Writing E(a,b) = <a L, b> with L the
 strict lower triangle of N makes each row of E a row of one fixed table of
 four-digit dot products mod 5, so building E is an integer row gather and
-no floating point enters.  The verification kernels work in int8 in place: a
-cocycle or linearity defect lies in [-8, 8], so it is 0 mod 5 exactly when
-its absolute value is 0 or 5 (one helper, _nonzero_mod5, holds that rule);
-recorded violations recompute both sides.
+no floating point enters.  The verification kernels share one residue rule:
+with exponents scaled by 51 in uint8, where 5 * 51 = 255 = -1 mod 256, a
+cocycle or linearity defect D in [-8, 8] reads as 51 D + 1 mod 256, which is
+at most 2 exactly when D = 0 mod 5 and at least 51 otherwise, so one max
+decides a slab; recorded violations recompute both sides.
 A position is four base-5 digits, so translating every index by b rolls
 the four digit axes: the full-triple and linearity kernels read shifted
 terms such as E(a+b, c) and E(a, b+c) as rows or columns of E translated
@@ -263,20 +264,18 @@ def _translate(x: np.ndarray, b: int, axis: int = 0) -> np.ndarray:
     return np.roll(x.reshape(shape), shift, axis=tuple(range(axis, axis + 4))).reshape(x.shape)
 
 
-def _nonzero_mod5(d: np.ndarray) -> np.ndarray:
-    """Mask of the entries of an int8 array d with values in [-8, 8] that are
-    not 0 mod 5: such a value is 0 mod 5 exactly when |d| is 0 or 5.  Takes
-    the absolute value of d in place."""
-    np.abs(d, out=d)
-    return (d != 0) & (d != 5)
+def _residues(exp: np.ndarray) -> np.ndarray:
+    """The residues 51 E mod 256, in uint8, of an array of exponents 0..4."""
+    return exp.view(np.uint8) * np.uint8(51)
 
 
-def _nonlinear(exp: np.ndarray, c: int) -> np.ndarray:
-    """Mask of (a, b) with E(a+c, b) != E(a,b) + E(c,b) mod 5, in int8 in place."""
-    d = _translate(exp, c)
-    d -= exp
-    d -= exp[c]
-    return _nonzero_mod5(d)
+def _nonlinear(res: np.ndarray, c: int) -> np.ndarray:
+    """Residues 51 D + 1 of the linearity defects D = E(a,b) + E(c,b) -
+    E(a+c,b) over (a, b), from the residues res of E."""
+    d = _translate(res, c)
+    np.subtract(res, d, out=d)
+    d += res[c] + 1
+    return d
 
 
 def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -> None:
@@ -304,18 +303,19 @@ def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -
     # linearity witnesses on the stored exponents, additive in each slot; the
     # first slot of the transpose is the second slot of the table
     exp, s = table.exp, table.sum_idx
-    exp_t = np.ascontiguousarray(exp.T)
+    res = _residues(exp)
+    res_t = np.ascontiguousarray(res.T)
     for c in range(_WITNESS_COUNT):
-        col_bad = _nonlinear(exp_t, c).T
-        row_bad = _nonlinear(exp, c)
+        col = _nonlinear(res_t, c)
+        row = _nonlinear(res, c)
         report.checks += 2 * 625 * 625
-        if not (col_bad.any() or row_bad.any()):
+        if max(col.max(), row.max()) <= 2:
             continue
         report.ok = False
-        for i, j in first(col_bad, 2):
+        for i, j in first(col.T > 2, 2):
             record(_violation("linearity", i, j, c, exp[i, s[j, c]],
                               (exp[i, j] + exp[i, c]) % 5))
-        for i, j in first(row_bad, 2):
+        for i, j in first(row > 2, 2):
             record(_violation("linearity", i, j, c, exp[s[c, i], j],
                               (exp[i, j] + exp[c, j]) % 5))
 
@@ -328,33 +328,35 @@ def _check_budget(kind: str, start: float, budget_seconds: Optional[float]) -> N
 def _verify_full_triple(table: StructureTable, report: AssociativityReport,
                         budget_seconds: Optional[float]) -> None:
     start = time.monotonic()
-    exp = table.exp
+    res = _residues(table.exp)
     # For b = 25 * high + low, E(a+b, c) and E(a, b+c) are E with its rows,
-    # and its columns, translated by b.  Translating by low rolls the two low
-    # digit axes; repeating the result twice along the two high digit axes
-    # turns the translation by high into a slice.
-    d = np.empty((625, 625), dtype=np.int8)
+    # and its columns, translated by b.  Translating by low permutes the 25
+    # values of the two low digits; repeating the result twice along the two
+    # high digit axes turns the translation by high into a slice.
+    rows = np.empty((10, 10, 25, 625), dtype=np.uint8)
+    cols = np.empty((625, 10, 10, 25), dtype=np.uint8)
+    slab = np.empty((5, 125, 5, 125), dtype=np.uint8)
     found = []
     for low in range(25):
-        rows = np.tile(_translate(exp, low).reshape(5, 5, 25, 625), (2, 2, 1, 1))
-        cols = np.tile(_translate(exp, low, axis=1).reshape(625, 5, 5, 25), (1, 2, 2, 1))
+        shift = _translate(np.arange(625), low)[:25]  # position of j + low, j < 25
+        rows_low = np.take(res.reshape(25, 25, 625), shift, axis=1).reshape(5, 5, 25, 625)
+        cols_low = np.take(res.reshape(15625, 25), shift, axis=1).reshape(625, 5, 5, 25)
+        rows.reshape(2, 5, 2, 5, 25, 625)[...] = rows_low[None, :, None]
+        cols.reshape(625, 2, 5, 2, 5, 25)[...] = cols_low[:, None, :, None]
         for high in range(25):
             _check_budget("full-triple", start, budget_seconds)
             b, (h0, h1) = 25 * high + low, divmod(high, 5)
-            # the (a, c) slab of E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) in
-            # int8, with a and c each split as (5, 5, 25) so that both slices
-            # stay views
-            np.subtract(rows[h0:h0 + 5, h1:h1 + 5].reshape(5, 5, 25, 5, 5, 25),
-                         cols[:, h0:h0 + 5, h1:h1 + 5].reshape(5, 5, 25, 5, 5, 25),
-                         out=d.reshape(5, 5, 25, 5, 5, 25))
-            d += exp[:, b, None]
-            d -= exp[b]
-            bad = _nonzero_mod5(d)
+            # the (a, c) slab of the residues of E(a,b) - E(b,c) + E(a+b,c) -
+            # E(a,b+c), with a and c each split as (5, 125) so that both
+            # slices stay views
+            np.subtract.outer(res[:, b] + 1, res[b], out=slab.reshape(625, 625))
+            slab += rows[h0:h0 + 5, h1:h1 + 5].reshape(5, 125, 5, 125)
+            slab -= cols[:, h0:h0 + 5, h1:h1 + 5].reshape(5, 125, 5, 125)
             report.checks += 625 * 625
-            if bad.any():
+            if slab.max() > 2:
                 report.ok = False
                 found.extend((ac // 625, b, ac % 625) for ac in
-                             np.flatnonzero(bad)[:_MAX_RECORDED_VIOLATIONS].tolist())
+                             np.flatnonzero(slab > 2)[:_MAX_RECORDED_VIOLATIONS].tolist())
     # the first records of each b include the first records of all triples
     for a, b, c in sorted(found)[:_MAX_RECORDED_VIOLATIONS - len(report.violations)]:
         report.violations.append(_cocycle_violation(table, a, b, c))
@@ -371,11 +373,11 @@ def _verify_sampled(table: StructureTable, n: int, seed: int,
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     # E and the sum positions read through flat pair codes x * 625 + y
-    exp, s = table.exp.ravel(), table.sum_idx.ravel()
+    exp, s = table.exp.view(np.uint8).ravel(), table.sum_idx.ravel()
     for lo in range(0, n, _SAMPLE_SLICE):
         _check_budget("sampled", start, budget_seconds)
         a, b, c = rng.integers(0, 625, (3, min(_SAMPLE_SLICE, n - lo)), dtype=np.int32)
-        # E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) in int8
+        # D = E(a,b) + E(a+b,c) - E(b,c) - E(a,b+c) mod 256, in uint8
         ab = a * np.int32(625)
         ab += b
         bc = b * np.int32(625)
@@ -391,7 +393,9 @@ def _verify_sampled(table: StructureTable, n: int, seed: int,
         ab -= b
         ab += bc
         d -= exp.take(ab)
-        bad = np.flatnonzero(_nonzero_mod5(d))
+        d *= 51  # the residue 51 D + 1
+        d += 1
+        bad = np.flatnonzero(d > 2)
         report.checks += len(a)
         for t in bad[:_MAX_RECORDED_VIOLATIONS - len(report.violations)]:
             report.violations.append(
@@ -436,15 +440,18 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     bilinearity implies the cocycle identity on all triples.
     full-triple: evaluates both sides of the cocycle identity
     E(a,b) + E(a+b,c) = E(b,c) + E(a,b+c) on all 625^3 triples, one slab of
-    all (a, c) per middle index b; the shifted terms are slices of E with
-    its rows and columns translated by b, so no sum_idx is read.  It
-    records the first violating triples in (a, b, c) order.
+    all (a, c) per middle index b; the shifted terms are slices of two tiles
+    of E with its rows and columns translated, refilled for each of the 25
+    values of b mod 25, so no sum_idx is read.  It records the first
+    violating triples in (a, b, c) order.
     sampled(n): evaluates n uniformly random triples; requires a seed.
     Slice j, of 2^16 triples (fewer in the last), is by definition the j-th
     integers(0, 625, (3, k), dtype=int32) draw of the seeded stream, read as
     the rows a, b and c; each slice is evaluated on the flat pair codes
     a * 625 + b and b * 625 + c and then dropped, so memory does not grow
     with n.  It records the first violating triples in draw order.
+    Every mode decides D = 0 mod 5 for a defect D by the residue rule of
+    the module docstring: 51 D + 1 mod 256 is at most 2.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
     have passed, checked before each slab of b or slice of triples.  A
     negative seed and a negative or NaN budget_seconds raise
@@ -563,31 +570,14 @@ def cy_certificate(source: Union[QMatrix, StructureTable]) -> CyCertificate:
     with a nondegenerate symmetric pairing satisfies the Calabi-Yau pairing
     criterion.
     """
-    if isinstance(source, StructureTable):
-        table = source
-    else:
-        table = build_table(source)
+    table = source if isinstance(source, StructureTable) else build_table(source)
     assoc = verify_associativity(table, "exact-bilinear")
     pairing = frobenius_pairing(table)
-    nondeg = pairing.is_perfect()
-    sym = pairing.is_symmetric()
-    if not assoc:
-        verdict = "associativity failure"
-        passed = False
-    elif not nondeg:
-        verdict = "pairing degenerate"
-        passed = False
-    elif not sym:
-        verdict = "Frobenius, not symmetric"
-        passed = False
-    else:
-        verdict = "Calabi-Yau pairing criterion satisfied"
-        passed = True
-    return CyCertificate(
-        source_matrix=table.source_matrix,
-        associativity=assoc,
-        nondegenerate=nondeg,
-        symmetric=sym,
-        passed=passed,
-        verdict=verdict,
-    )
+    nondeg, sym = pairing.is_perfect(), pairing.is_symmetric()
+    verdict = ("associativity failure" if not assoc.ok else
+               "pairing degenerate" if not nondeg else
+               "Frobenius, not symmetric" if not sym else
+               "Calabi-Yau pairing criterion satisfied")
+    return CyCertificate(source_matrix=table.source_matrix, associativity=assoc,
+                         nondegenerate=nondeg, symmetric=sym,
+                         passed=assoc.ok and nondeg and sym, verdict=verdict)

@@ -104,6 +104,19 @@ def test_build_table_payload(capsys, matrix_file, tmp_path):
     assert out.exists()
 
 
+def test_build_table_rejects_empty_out_before_building(capsys, matrix_file, monkeypatch):
+    def build_table(matrix):
+        raise AssertionError("the table was built before --out was checked")
+
+    monkeypatch.setattr(cli.structure, "build_table", build_table)
+    code = main(["build-table", "--matrix", matrix_file, "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    record = json.loads(captured.err)
+    assert captured.out == "" and list(record) == ["error"]
+    assert record["error"]["kind"] == "usage"
+
+
 def test_verify_exact_ok(capsys, table_file):
     code, payload = _json_run(capsys, ["verify", "--table", table_file])
     assert code == 0

@@ -36,8 +36,9 @@ def test_exponent_matrix_and_exact_bilinear_budget(canonical_matrix, canonical_t
 
 
 def test_full_triple_budget(canonical_table):
-    # E with its rows, and its columns, translated and tiled twice along the
-    # two high digit axes: two int8 arrays of 1.5 MiB each
+    # the uint8 residues of E with its rows, and its columns, translated and
+    # repeated twice along the two high digit axes: two tiles of 1.5 MiB
+    # each, allocated once and refilled, plus the 0.4 MiB slab
     assert _peak_mib(
         lambda: structure.verify_associativity(canonical_table, "full")) <= 8
 

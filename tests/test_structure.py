@@ -133,6 +133,14 @@ def test_full_triple_passes_on_zero_matrix(zero_table):
     assert report.checks == 625 ** 3
 
 
+def test_full_triple_passes_on_canonical_table(canonical_table):
+    # unlike on the zero table, about a third of the cocycle defects here are
+    # 5 or -5, which the residue rule must read as 0 mod 5
+    report = verify_associativity(canonical_table, "full")
+    assert report.ok and report.violations == []
+    assert report.checks == 625 ** 3
+
+
 def test_full_triple_budget_enforced(canonical_table):
     with pytest.raises(BudgetExceededError):
         verify_associativity(canonical_table, "full", budget_seconds=0.01)
@@ -260,24 +268,29 @@ def test_sampled_records_are_first_bad_triples(canonical_table):
         assert not report.ok and report.checks == n
 
 
-def test_sampled_records_across_batches(canonical_table):
+def _sampled_bad_triples(table, n, seed):
     # the reference evaluates each slice of the seeded stream in int64 over
-    # sum_idx
-    n, seed = 2000001, 29
+    # sum_idx; returns the first 20 records and the slices they came from
     s = indices.tables().sum_idx
     digits = indices.tables().idx.tolist()
+    exp = table.exp.astype(np.int64)
+    expected, slices = [], set()
+    for lo, (a, b, c) in _sampled_slices(n, seed):
+        lhs = (exp[a, b] + exp[s[a, b], c]) % 5
+        rhs = (exp[b, c] + exp[a, s[b, c]]) % 5
+        for t in np.flatnonzero(lhs != rhs)[:20 - len(expected)].tolist():
+            slices.add(lo)
+            expected.append({"kind": "cocycle", "a": digits[a[t]],
+                             "b": digits[b[t]], "c": digits[c[t]],
+                             "lhs": int(lhs[t]), "rhs": int(rhs[t])})
+    return expected, slices
+
+
+def test_sampled_records_across_batches(canonical_table):
+    n, seed = 2000001, 29
     one, many = _corrupted_pair(canonical_table, (37, 412))
     for bad in (one, many):
-        exp = bad.exp.astype(np.int64)
-        expected, slices = [], set()
-        for lo, (a, b, c) in _sampled_slices(n, seed):
-            lhs = (exp[a, b] + exp[s[a, b], c]) % 5
-            rhs = (exp[b, c] + exp[a, s[b, c]]) % 5
-            for t in np.flatnonzero(lhs != rhs)[:20 - len(expected)].tolist():
-                slices.add(lo)
-                expected.append({"kind": "cocycle", "a": digits[a[t]],
-                                 "b": digits[b[t]], "c": digits[c[t]],
-                                 "lhs": int(lhs[t]), "rhs": int(rhs[t])})
+        expected, slices = _sampled_bad_triples(bad, n, seed)
         report = verify_associativity(bad, "sampled=%d" % n, seed=seed)
         assert expected
         assert report.violations == expected
@@ -333,6 +346,57 @@ def test_full_triple_records_are_first_bad_triples(canonical_table):
         rhs = (exp[b] + exp[:, s[b]]) % 5
         crowded += np.count_nonzero(lhs != rhs) > 20
     assert crowded >= 20
+
+
+def _first_nonlinear_pairs(table, count):
+    # the reference scan of the linearity witnesses in int64: for each c, the
+    # first two pairs (a, b) that break additivity in the second slot, then
+    # the first two that break it in the first slot
+    exp, s = table.exp.astype(np.int64), indices.tables().sum_idx
+    digits = indices.tables().idx.tolist()
+    found = []
+    for c in range(25):
+        for lhs, rhs in ((exp[:, s[:, c]], (exp + exp[:, c, None]) % 5),
+                         (exp[s[c]], (exp + exp[c]) % 5)):
+            for a, b in np.argwhere(lhs != rhs)[:2].tolist():
+                found.append({"kind": "linearity", "a": digits[a], "b": digits[b],
+                              "c": digits[c], "lhs": int(lhs[a, b]), "rhs": int(rhs[a, b])})
+        if len(found) >= count:
+            break
+    return found[:count]
+
+
+def test_residue_rule_decides_zero_mod_5():
+    # 5 * 51 = 255 = -1 mod 256, so a defect D in [-8, 8] reads as 51 D + 1
+    # mod 256 in uint8; every cocycle defect x + y - z - w and every linearity
+    # defect x + y - z of exponents 0..4 is checked
+    x = np.arange(5)
+    r = structure._residues(x.astype(np.int8))
+    one = np.uint8(1)
+    cocycle = r[:, None, None, None] + r[:, None, None] - r[:, None] - r + one
+    linearity = r[:, None, None] + r[:, None] - r + one
+    for residue, defect in (
+            (cocycle, x[:, None, None, None] + x[:, None, None] - x[:, None] - x),
+            (linearity, x[:, None, None] + x[:, None] - x)):
+        assert residue.dtype == np.uint8
+        assert ((residue <= 2) == (defect % 5 == 0)).all()
+        assert (residue[defect % 5 != 0] >= 51).all()
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3, 4])
+def test_every_defect_class_is_recorded(canonical_table, shift):
+    # one exponent moved by each of its four wrong values: every mode records
+    # what the int64 references find
+    exp = canonical_table.exp.copy()
+    exp[37, 412] = (exp[37, 412] + shift) % 5
+    bad = structure.StructureTable(canonical_table.source_matrix, exp)
+    assert verify_associativity(bad, "full").violations == _first_bad_triples(bad)
+    expected, _ = _sampled_bad_triples(bad, 10 ** 6, 7)
+    assert expected and verify_associativity(
+        bad, "sampled=1000000", seed=7).violations == expected
+    exact = verify_associativity(bad, "exact").violations
+    assert exact[0]["kind"] == "cocycle" and len(exact) == 20
+    assert exact[1:] == _first_nonlinear_pairs(bad, 19)
 
 
 def test_exact_bilinear_records_match_definitions(canonical_matrix, canonical_table):
