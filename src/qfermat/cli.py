@@ -33,10 +33,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from . import cohomology, fiber, indices, qmatrix, rewrite, structure
 from .errors import PreconditionError, ToolkitError
@@ -58,16 +57,8 @@ class _CliError(ToolkitError):
         self.position = position
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError("not JSON serializable: %r" % (obj,))
-
-
 def _dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _human_lines(obj, indent: int = 0) -> List[str]:
@@ -80,14 +71,14 @@ def _human_lines(obj, indent: int = 0) -> List[str]:
                 lines.append("%s%s:" % (pad, key))
                 lines.extend(_human_lines(value, indent + 1))
             else:
-                lines.append("%s%s: %s" % (pad, key, json.dumps(value, default=_json_default)))
+                lines.append("%s%s: %s" % (pad, key, json.dumps(value)))
     else:
         for value in obj:
             if isinstance(value, (dict, list)):
                 lines.append("%s-" % pad)
                 lines.extend(_human_lines(value, indent + 1))
             else:
-                lines.append("%s- %s" % (pad, json.dumps(value, default=_json_default)))
+                lines.append("%s- %s" % (pad, json.dumps(value)))
     return lines
 
 
@@ -167,8 +158,7 @@ def _cmd_build_table(args: argparse.Namespace):
         raise _CliError("usage", "build-table requires --out for the table file")
     matrix = _load_matrix(args.matrix)
     table = structure.build_table(matrix)
-    text = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":"),
-                      default=_json_default) + "\n"
+    text = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
     payload = {
         "written": args.out,
         "source_matrix": matrix.to_json(),
@@ -222,6 +212,10 @@ def _cmd_hilbert(args: argparse.Namespace):
 def _cmd_normal_form(args: argparse.Namespace):
     matrix = _load_matrix(args.matrix)
     word = _parse_word(args.word)
+    # t_0^(5k) has C(k+3, 3) standard terms; refuse over 10,000 (2 MB of JSON)
+    terms = math.comb(word.count(0) // 5 + 3, 3)
+    if terms > 10_000:
+        raise PreconditionError("word expands into %d standard terms, more than 10000" % terms)
     try:
         element = rewrite.normal_form(word, matrix)
     except PreconditionError:

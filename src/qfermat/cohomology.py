@@ -248,10 +248,12 @@ def dt_polynomial_pair(h: RatPolynomial,
                        ) -> Tuple[RatPolynomial, RatPolynomial]:
     """Split a degree <= 1 input against the rank-one background polynomial.
 
-    Returns (h, p0 - h) where p0 is the Hilbert polynomial of the given
-    multiset (the coordinate-algebra decomposition when omitted).  Inputs of
-    degree 2 or higher are rejected: the pair encodes a point-like deviation
-    from the background and must stay asymptotically negligible."""
+    Returns (h, p0 - h), p0 the Hilbert polynomial of the given multiset
+    (the coordinate-algebra decomposition when omitted): the Hilbert
+    polynomials of a quotient of dimension <= 1 and of its rank-one kernel,
+    against the background p0.  DT-type invariants of rank-one sheaves are
+    indexed by this data; none is computed here.  Inputs of degree 2 or
+    higher are rejected: no such quotient has them."""
     if h.degree > 1:
         raise PreconditionError(
             "deviation polynomial must have degree at most 1, got degree %d"

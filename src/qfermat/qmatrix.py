@@ -407,10 +407,9 @@ class ClassificationReport:
 
 def classify() -> ClassificationReport:
     """Partition the generic matrices into orbits and report the counts."""
-    generic_count = len(enumerate_generic())
     reps = orbit_representatives(ALL_ACTIONS)
     return ClassificationReport(
-        generic_count=generic_count,
+        generic_count=len(_generic_codes()),
         orbit_count_all_actions=len(reps),
         orbit_count_without_scaling=len(orbit_representatives({"permute", "twist"})),
         canonical_representatives=reps,

@@ -30,10 +30,10 @@ with exponents scaled by 51 in uint8, where 5 * 51 = 255 = -1 mod 256, a
 cocycle or linearity defect D in [-8, 8] reads as 51 D + 1 mod 256, which is
 at most 2 exactly when D = 0 mod 5 and at least 51 otherwise, so one max
 decides a slab; recorded violations recompute both sides.
-A position is four base-5 digits, so translating every index by b rolls
-the four digit axes: the full-triple and linearity kernels read shifted
-terms such as E(a+b, c) and E(a, b+c) as rows or columns of E translated
-by one index, never through a gather by the sum index.
+Translating every index by b is a gather by row b of sum_idx, the
+positions of b + a: the linearity kernel reads E(a+c, b) as the rows
+sum_idx[c] of E, and full-triple reads E(a+b, c) and E(a, b+c) as slices of
+tiles of E translated by the 25 entries sum_idx[b mod 25, :25].
 """
 
 from __future__ import annotations
@@ -216,20 +216,17 @@ class AssociativityReport:
 _MAX_RECORDED_VIOLATIONS = 20
 
 
-def _digits_at(pos: int) -> List[int]:
-    return [int(d) for d in indices.tables().idx[pos]]
-
-
 def _violation(kind: str, a: int, b: int, c: Optional[int], lhs, rhs) -> dict:
+    idx = indices.tables().idx
     out = {
         "kind": kind,
-        "a": _digits_at(a),
-        "b": _digits_at(b),
+        "a": idx[a].tolist(),
+        "b": idx[b].tolist(),
         "lhs": int(lhs),
         "rhs": int(rhs),
     }
     if c is not None:
-        out["c"] = _digits_at(c)
+        out["c"] = idx[c].tolist()
     return out
 
 
@@ -255,15 +252,6 @@ def _find_cocycle_violation(table: StructureTable, a: int, b: int) -> Optional[d
     return None
 
 
-def _translate(x: np.ndarray, b: int, axis: int = 0) -> np.ndarray:
-    """Copy of x with its index axis translated by the index at position b:
-    along axis 0, row a of the result is row a+b of x.  A position is four
-    base-5 digits, so the translation rolls each digit axis."""
-    shape = x.shape[:axis] + (5, 5, 5, 5) + x.shape[axis + 1:]
-    shift = np.negative(np.unravel_index(b, (5, 5, 5, 5)))
-    return np.roll(x.reshape(shape), shift, axis=tuple(range(axis, axis + 4))).reshape(x.shape)
-
-
 def _residues(exp: np.ndarray) -> np.ndarray:
     """The residues 51 E mod 256, in uint8, of an array of exponents 0..4."""
     return exp.view(np.uint8) * np.uint8(51)
@@ -272,7 +260,7 @@ def _residues(exp: np.ndarray) -> np.ndarray:
 def _nonlinear(res: np.ndarray, c: int) -> np.ndarray:
     """Residues 51 D + 1 of the linearity defects D = E(a,b) + E(c,b) -
     E(a+c,b) over (a, b), from the residues res of E."""
-    d = _translate(res, c)
+    d = res.take(indices.tables().sum_idx[c], axis=0)
     np.subtract(res, d, out=d)
     d += res[c] + 1
     return d
@@ -338,7 +326,7 @@ def _verify_full_triple(table: StructureTable, report: AssociativityReport,
     slab = np.empty((5, 125, 5, 125), dtype=np.uint8)
     found = []
     for low in range(25):
-        shift = _translate(np.arange(625), low)[:25]  # position of j + low, j < 25
+        shift = table.sum_idx[low, :25]  # position of j + low, j < 25
         rows_low = np.take(res.reshape(25, 25, 625), shift, axis=1).reshape(5, 5, 25, 625)
         cols_low = np.take(res.reshape(15625, 25), shift, axis=1).reshape(625, 5, 5, 25)
         rows.reshape(2, 5, 2, 5, 25, 625)[...] = rows_low[None, :, None]
@@ -441,9 +429,9 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     full-triple: evaluates both sides of the cocycle identity
     E(a,b) + E(a+b,c) = E(b,c) + E(a,b+c) on all 625^3 triples, one slab of
     all (a, c) per middle index b; the shifted terms are slices of two tiles
-    of E with its rows and columns translated, refilled for each of the 25
-    values of b mod 25, so no sum_idx is read.  It records the first
-    violating triples in (a, b, c) order.
+    of E with its rows and columns translated by b mod 25, refilled for each
+    of its 25 values from 25 entries of sum_idx, so no slab gathers by
+    sum_idx.  It records the first violating triples in (a, b, c) order.
     sampled(n): evaluates n uniformly random triples; requires a seed.
     Slice j, of 2^16 triples (fewer in the last), is by definition the j-th
     integers(0, 625, (3, k), dtype=int32) draw of the seeded stream, read as

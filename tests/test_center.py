@@ -73,3 +73,45 @@ def test_center_agrees_with_rewriting_commutators(generic):
             if all(rewrite.multiply(x, g, N) == rewrite.multiply(g, x, N)
                    for g in GROUP_GENERATORS)]
         assert commuting == _center(N).tolist(), N
+
+
+# E(a, b) = <a L, b> with L the strict lower triangle of N, and N is skew
+# mod 5, so E - E^T is the skew form omega_N(a, b) = a N b mod 5.  The
+# positions 125, 25, 5 and 1 hold the indices e_k with digit k equal to 1
+# and the last digit 4; the index with first digits x is sum_k x_k e_k, at
+# position x . (125, 25, 5, 1), so omega_N is the 4 x 4 form W on the e_k.
+def test_algebra_depends_on_the_matrix_only_through_its_skew_form(generic):
+    t = indices.tables()
+    idx = t.idx.astype(np.int64)
+    entries = np.array([N.entries for N in generic], dtype=np.int64)
+    rng = np.random.default_rng(41)
+    for k in rng.choice(len(generic), 20, replace=False):
+        E = structure.exponent_matrix(generic[k]).astype(np.int64)
+        assert ((E - E.T - idx @ entries[k] @ idx.T) % 5 == 0).all(), generic[k]
+
+    forms = idx[[125, 25, 5, 1]] @ entries @ idx[[125, 25, 5, 1]].T % 5
+    classes = {}
+    for k, W in enumerate(forms):
+        classes.setdefault(tuple(W.ravel().tolist()), []).append(k)
+    assert sorted(map(len, classes.values())) == [125] * 24
+    # a form of rank 2 over F_5 has a kernel of 5^2 vectors x, x W = 0; it
+    # is the center found above, and the 4 scalings of a form share it
+    kernels = {}
+    for w, members in classes.items():
+        kernel = np.flatnonzero((idx[:, :4] @ forms[members[0]] % 5 == 0).all(axis=1))
+        assert kernel.tolist() == _center(generic[members[0]]).tolist()
+        kernels.setdefault(tuple(kernel.tolist()), set()).add(w)
+    assert sorted(map(len, kernels)) == [25] * 6
+    for ws in kernels.values():
+        w = np.array(min(ws))
+        assert ws == {tuple((c * w % 5).tolist()) for c in range(1, 5)}
+
+    # same form, isomorphic tables: D = E' - E is symmetric, so it is the
+    # coboundary f(a+b) - f(a) - f(b) of f(a) = 3 D(a, a), and e_a -> zeta^f(a) e_a
+    # maps one table onto the other; the carries do not depend on N
+    first, *rest = next(iter(classes.values()))
+    E0 = structure.exponent_matrix(generic[first])
+    for k in rest:
+        D = (structure.exponent_matrix(generic[k]) - E0) % 5  # int8, as are f and the sum
+        f = 3 * np.diagonal(D) % 5
+        assert ((f[t.sum_idx] - f[:, None] - f[None, :] - D) % 5 == 0).all(), generic[k]

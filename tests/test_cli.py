@@ -371,6 +371,23 @@ def test_normal_form_rejects_bad_letters(capsys, matrix_file):
         assert json.loads(captured.err)["error"]["kind"] == "usage"
 
 
+def test_normal_form_caps_the_predicted_term_count(capsys, matrix_file):
+    # t_0^(5k) expands into C(k+3, 3) standard terms; the count is read off
+    # the word before any expansion, and more than 10,000 terms is refused
+    code, payload = _json_run(
+        capsys, ["normal-form", "--matrix", matrix_file, "--word", ",".join(["0"] * 189)])
+    assert code == 0 and len(payload["terms"]) == 9880
+    for zeros, terms in ((190, 10660), (5000, 167668501)):
+        start = time.perf_counter()
+        code = main(["normal-form", "--matrix", matrix_file, "--word", ",".join(["0"] * zeros)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["kind"] == "precondition" and str(terms) in error["message"]
+        assert elapsed < 1.0
+
+
 # ---------------------------------------------------------
 # report and argument handling
 # ---------------------------------------------------------

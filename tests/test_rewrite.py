@@ -5,9 +5,9 @@ from math import comb, factorial, prod
 import numpy as np
 import pytest
 
+from qfermat import indices
 from qfermat.cyclotomic import CycNum, ONE, root_power
 from qfermat.errors import PreconditionError
-from qfermat.indices import enumerate_index_set
 from qfermat.qmatrix import QMatrix, sample_admissible
 from qfermat.rewrite import (
     AlgElement,
@@ -209,22 +209,28 @@ def test_multiply_drops_cancelled_terms():
 
 
 def test_multiply_matches_structure_table():
-    # two copies of the bilinear form E(a, b): the table's exponents and the
-    # rewriting system's commutation scalars; without a t_0 carry they agree
+    # the table is the degree-5 part of rewriting: t^a t^b is zeta^E(a,b)
+    # times the sorted word with exponents (a + b mod 5) + 5 carry(a, b), so a
+    # carry at t_0 expands by the quintic relation on the expected side too
+    shared = indices.tables()
+    idx = shared.idx.tolist()
+    t0_carry = np.flatnonzero(shared.carry_code.ravel() & 1)
     rng = np.random.default_rng(31)
-    index = [tuple(a.digits) for a in enumerate_index_set()]
+    codes = set()
     for N in [CANONICAL] + sample_admissible(3, seed=5):
         table = build_table(N)
-        checked = 0
-        for i, j in rng.integers(0, 625, size=(1500, 2)):
-            a, b = index[i], index[j]
-            if a[0] + b[0] > 4:
-                continue
-            product = multiply(AlgElement.monomial(a), AlgElement.monomial(b), N)
-            target = tuple(x + y for x, y in zip(a, b))
-            assert product == AlgElement.monomial(target, table.coefficient(a, b))
-            checked += 1
-        assert checked > 500
+        # 500 pairs with a carry at t_0, and 500 uniform pairs
+        pairs = np.concatenate([rng.choice(t0_carry, 500), rng.integers(0, 625 * 625, 500)])
+        for i, j in zip(*np.divmod(pairs, 625)):
+            code = int(shared.carry_code[i, j])
+            e = [d + 5 * (code >> k & 1) for k, d in enumerate(idx[shared.sum_idx[i, j]])]
+            word = [k for k in range(5) for _ in range(e[k])]
+            expected = normal_form(word, N).scale(root_power(int(table.exp[i, j])))
+            product = multiply(AlgElement.monomial(idx[i]), AlgElement.monomial(idx[j]), N)
+            assert product == expected, (N, idx[i], idx[j])
+            codes.add(code)
+    # every carry pattern that includes t_0 occurs
+    assert {c for c in codes if c & 1} == set(range(1, 32, 2))
 
 
 def test_multiply_distributes():

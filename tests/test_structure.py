@@ -300,13 +300,6 @@ def test_sampled_records_across_batches(canonical_table):
             assert len(slices) >= 2
 
 
-def test_digit_translation_matches_sum_idx(canonical_table):
-    exp, s = canonical_table.exp, indices.tables().sum_idx
-    for b in range(625):
-        assert (structure._translate(exp, b) == exp[s[b]]).all(), b
-        assert (structure._translate(exp, b, axis=1) == exp[:, s[b]]).all(), b
-
-
 def _first_bad_triples(table, count=20):
     # the reference scan: rows a in order, both cocycle sides in int64 mod 5
     exp, s = table.exp.astype(np.int64), indices.tables().sum_idx
