@@ -16,120 +16,29 @@ with no floating-point arithmetic anywhere a theorem is decided:
   - fiber:       center, radical, and semisimplicity of fiber algebras
   - cohomology:  Hilbert polynomials and twisted-sheaf cohomology over P^3
   - cli:         the `qfermat` command-line entry point
+
+`from qfermat import X` resolves X on first use (PEP 562) from the `__all__`
+lists of _MODULES, searched in order and each imported when the search
+reaches it; so each public name is declared once, in its own module, and
+`import qfermat` alone loads no submodule.  The package's `__all__` is
+`__version__` plus those lists, in module order.
 """
 
-from .cyclotomic import CycNum, root_power
-from .errors import BudgetExceededError, PreconditionError, ToolkitError
-from .indices import (
-    CarryVector,
-    MultiIndex,
-    enumerate_index_set,
-    index_add,
-    weight,
-    weight_histogram,
-)
-from .qmatrix import (
-    ClassificationReport,
-    QMatrix,
-    act_permute,
-    act_scale,
-    act_twist,
-    canonical_generic_representative,
-    canonical_representative,
-    classify,
-    enumerate_admissible,
-    enumerate_generic,
-    is_admissible,
-    is_generic,
-    orbit,
-    orbit_representatives,
-)
-from .structure import (
-    AssociativityReport,
-    CyCertificate,
-    PairingMatrix,
-    StructureTable,
-    build_table,
-    cy_certificate,
-    frobenius_pairing,
-    is_symmetric_pairing,
-    verify_associativity,
-)
-from .rewrite import AlgElement, graded_dimension, is_central, multiply, normal_form
-from .fiber import (
-    FiberAlgebra,
-    FiberPoint,
-    MonomialAlgebra,
-    center_dim,
-    is_semisimple,
-    radical_dim,
-    specialize,
-)
-from .cohomology import (
-    RatPolynomial,
-    TwistMultiset,
-    algebra_twist_multiset,
-    cohomology_dim,
-    dt_polynomial_pair,
-    hilbert_polynomial,
-    sheaf_cohomology,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ToolkitError",
-    "PreconditionError",
-    "BudgetExceededError",
-    "CycNum",
-    "root_power",
-    "MultiIndex",
-    "CarryVector",
-    "enumerate_index_set",
-    "index_add",
-    "weight",
-    "weight_histogram",
-    "QMatrix",
-    "ClassificationReport",
-    "is_admissible",
-    "is_generic",
-    "act_scale",
-    "act_permute",
-    "act_twist",
-    "enumerate_generic",
-    "enumerate_admissible",
-    "orbit",
-    "canonical_representative",
-    "canonical_generic_representative",
-    "orbit_representatives",
-    "classify",
-    "StructureTable",
-    "PairingMatrix",
-    "AssociativityReport",
-    "CyCertificate",
-    "build_table",
-    "verify_associativity",
-    "frobenius_pairing",
-    "is_symmetric_pairing",
-    "cy_certificate",
-    "AlgElement",
-    "normal_form",
-    "multiply",
-    "is_central",
-    "graded_dimension",
-    "FiberPoint",
-    "FiberAlgebra",
-    "MonomialAlgebra",
-    "specialize",
-    "center_dim",
-    "radical_dim",
-    "is_semisimple",
-    "RatPolynomial",
-    "TwistMultiset",
-    "algebra_twist_multiset",
-    "hilbert_polynomial",
-    "cohomology_dim",
-    "sheaf_cohomology",
-    "dt_polynomial_pair",
-]
+_MODULES = ("errors", "cyclotomic", "indices", "qmatrix", "structure", "rewrite",
+            "fiber", "cohomology")
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module("." + name, __name__)
+    modules = (__getattr__(m) for m in _MODULES)  # each imported when reached
+    if name == "__all__":
+        return ["__version__"] + [n for module in modules for n in module.__all__]
+    for module in modules:
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

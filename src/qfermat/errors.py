@@ -1,5 +1,7 @@
 """Shared exception types for the toolkit; `kind` names the failure kind."""
 
+__all__ = ["ToolkitError", "PreconditionError", "BudgetExceededError"]
+
 
 class ToolkitError(Exception):
     """Base class for errors raised by this package; raised as such, it

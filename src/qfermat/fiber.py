@@ -18,10 +18,11 @@ product of e_b and e_a), so the center is spanned by basis vectors and the
 graded shortcut just scans rows; a generic dense null-space solve is kept
 alongside as an independent cross-check.  Second, trace(L_{e_a} L_{e_b})
 vanishes unless b is the additive inverse of a, so the trace Gram matrix is
-a permuted diagonal and the radical has a monomial basis; for points with
-integer coordinates the diagonal sums are accumulated in exact int64
-vectors over the five root-of-unity exponents, and everything else takes
-the one paired entry T(e_a, e_{-a}) per row from the generic gram_entry.
+a permuted diagonal and the radical has a monomial basis; for points whose
+coordinates are integers with |x_i| <= 32 (_INT_COORD_LIMIT) the diagonal
+sums are accumulated in exact int64 vectors over the five root-of-unity
+exponents, and every other point takes the one paired entry T(e_a, e_{-a})
+per row from the generic gram_entry.
 
 The same center/radical machinery runs over any small monomial algebra
 (basis products land on a single basis line); MonomialAlgebra covers test

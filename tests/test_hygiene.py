@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +115,78 @@ def test_readme_library_imports_resolve():
     missing = [n for n in names if not hasattr(package, n)]
     assert not missing, "README imports names qfermat does not export: %s" % missing
     assert set(names) <= set(package.__all__)
+
+
+# the modules whose __all__ the package re-exports, in the order it searches them
+PACKAGE_MODULES = ("errors", "cyclotomic", "indices", "qmatrix", "structure", "rewrite",
+                   "fiber", "cohomology")
+
+# qfermat.__all__ when it was a list written out in __init__.py
+EXPORTED_BEFORE = [
+    "__version__", "ToolkitError", "PreconditionError", "BudgetExceededError", "CycNum",
+    "root_power", "MultiIndex", "CarryVector", "enumerate_index_set", "index_add", "weight",
+    "weight_histogram", "QMatrix", "ClassificationReport", "is_admissible", "is_generic",
+    "act_scale", "act_permute", "act_twist", "enumerate_generic", "enumerate_admissible",
+    "orbit", "canonical_representative", "canonical_generic_representative",
+    "orbit_representatives", "classify", "StructureTable", "PairingMatrix",
+    "AssociativityReport", "CyCertificate", "build_table", "verify_associativity",
+    "frobenius_pairing", "is_symmetric_pairing", "cy_certificate", "AlgElement",
+    "normal_form", "multiply", "is_central", "graded_dimension", "FiberPoint",
+    "FiberAlgebra", "MonomialAlgebra", "specialize", "center_dim", "radical_dim",
+    "is_semisimple", "RatPolynomial", "TwistMultiset", "algebra_twist_multiset",
+    "hilbert_polynomial", "cohomology_dim", "sheaf_cohomology", "dt_polynomial_pair",
+]
+
+
+def _fresh(code):
+    """stdout of code run in a new interpreter that imports qfermat from src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+           "if m == 'numpy' or m.startswith('qfermat.'))))")
+
+
+def test_package_modules_declare_disjoint_literal_names():
+    # a name listed twice would resolve by module order alone
+    owner = {}
+    for module in PACKAGE_MODULES:
+        tree = _parse(ROOT / "src" / "qfermat" / (module + ".py"))
+        lists = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+        assert len(lists) == 1 and isinstance(lists[0], ast.List), module
+        names = _declared_all(tree)
+        assert names and all(isinstance(n, str) for n in names), module
+        for name in names:
+            assert owner.setdefault(name, module) == module, (name, owner[name], module)
+    assert len(EXPORTED_BEFORE) == 54 and set(EXPORTED_BEFORE) - {"__version__"} <= set(owner)
+
+
+def test_package_names_resolve_in_a_fresh_process():
+    code = ("import json, qfermat\n"
+            "from qfermat import *\n"
+            "print(json.dumps([qfermat.__all__, [n for n in qfermat.__all__ "
+            "if globals().get(n) is not getattr(qfermat, n)]]))")
+    names, unbound = _fresh(code)
+    assert unbound == []
+    assert set(EXPORTED_BEFORE) <= set(names) and len(names) == len(set(names))
+    assert names[0] == "__version__"
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    assert _fresh("import qfermat; " + _LOADED) == []
+
+
+def test_importing_the_cli_loads_every_package_module():
+    # the traced benchmark (perfbench/worker.py) imports qfermat.cli and then
+    # wraps the functions of the modules already loaded; a module the CLI
+    # imported only inside a handler would record no spans
+    loaded = _fresh("import qfermat.cli; " + _LOADED)
+    assert {"qfermat." + m for m in PACKAGE_MODULES} <= set(loaded)
 
 
 _FLOAT_DTYPES = {"float16", "float32", "float64", "floating"}

@@ -1,5 +1,6 @@
 """Derandomized property tests: CycNum against sympy, and the CLI's failure
-contract under junk command lines and input files.
+contract under junk command lines and input files; and seeded words for the
+term cap of normal_form.
 
 derandomize=True fixes the examples, so these tests are as deterministic as
 the rest of the suite; database=None, and the temporary home directory that
@@ -8,7 +9,11 @@ conftest.py sets, keep hypothesis from writing into the checkout.
 
 import io
 import json
+import random
+import time
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -17,6 +22,9 @@ from hypothesis import strategies as st
 
 from qfermat.cli import main
 from qfermat.cyclotomic import ONE, CycNum, root_power
+from qfermat.errors import PreconditionError
+from qfermat.qmatrix import QMatrix
+from qfermat.rewrite import normal_form
 
 # ---------------------------------------------------------
 # CycNum against polynomial arithmetic modulo the 5th cyclotomic polynomial
@@ -61,6 +69,54 @@ def test_times_root_and_galois(x, y, k):
         assert (x * y).galois(g) == x.galois(g) * y.galois(g)
         assert ONE.galois(g) == ONE
         assert x.galois(g) == _reduce(_poly(x).compose(sympy.Poly(Z ** g, Z)))
+
+
+# ---------------------------------------------------------
+# normal_form's term cap: t_0^(5k) has C(k+3, 3) standard terms
+# ---------------------------------------------------------
+
+CAP = 10_000  # C(40, 3) = 9880 terms at k = 37, C(41, 3) = 10660 at k = 38
+
+
+def _t0_heavy_words(seed, zero_counts):
+    """Words with each given number of letters 0, shuffled among up to 12 others."""
+    rng = random.Random(seed)
+    for zeros in zero_counts:
+        word = [0] * zeros + [rng.randint(1, 4) for _ in range(rng.randint(0, 12))]
+        rng.shuffle(word)
+        yield tuple(word)
+
+
+def test_normal_form_under_the_cap_has_the_predicted_term_count(canonical_matrix):
+    rng = random.Random(11)
+    zero_counts = [0, 4, 5, 94, 185, 189] + [rng.randint(0, 189) for _ in range(6)]
+    for word in _t0_heavy_words(12, zero_counts):
+        k = word.count(0) // 5
+        assert len(normal_form(word, canonical_matrix, max_terms=CAP).terms) == comb(k + 3, 3)
+
+
+def test_normal_form_over_the_cap_is_refused_at_once(canonical_matrix):
+    # the count is decided before the letters and the matrix are checked, so
+    # a letter outside 0..4 or a non-admissible matrix changes nothing
+    rng = random.Random(13)
+    non_admissible = QMatrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4)
+    zero_counts = [190, 194, 5000, 100_000] + [rng.randint(190, 20_000) for _ in range(6)]
+    for i, word in enumerate(_t0_heavy_words(14, zero_counts)):
+        word += [(), (7,), (-1,)][i % 3]
+        message = "%d standard terms" % comb(word.count(0) // 5 + 3, 3)
+        for matrix in (canonical_matrix, non_admissible):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match=message):
+                normal_form(word, matrix, max_terms=CAP)
+            assert time.perf_counter() - start < 0.05
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError):
+                normal_form(word, canonical_matrix, max_terms=CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------

@@ -263,6 +263,24 @@ def test_orbit_without_scaling_already_full():
     assert len(orb) == 3000
 
 
+def test_orbit_stabilizer_certificate():
+    # every group element once, as a scaling after a permutation after a
+    # zero-sum twist with v_0 = 0 (v and v + (c, ..., c) twist alike): the
+    # images of CANONICAL are its orbit, and |orbit| * |stabilizer| = |group|;
+    # neither the orbit labels nor a closure search is used
+    twists = [(0,) + v for v in itertools.product(range(5), repeat=4) if sum(v) % 5 == 0]
+    perms = list(itertools.permutations(range(5)))
+    assert (len(twists), len(perms)) == (125, 120)
+    permuted = [act_permute(act_twist(CANONICAL, v), s) for v in twists for s in perms]
+    scaled = [act_scale(m, a) for m in permuted for a in range(1, 5)]
+    generic = set(enumerate_generic())
+    for images, order, stabilizer in ((permuted, 15_000, 5), (scaled, 60_000, 20)):
+        assert len(images) == order
+        assert images.count(CANONICAL) == stabilizer
+        assert len(set(images)) * stabilizer == order
+        assert set(images) == generic
+
+
 def _bfs_orbit(start, actions):
     """Closure of {start} under the generators, through the public actions."""
     moves = []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -58,15 +60,21 @@ def test_exponent_matches_direct_formula(canonical_matrix, canonical_table):
 
 
 def test_exponent_bilinearity_arrays(canonical_table):
-    # E(a, b + c) = E(a, b) + E(a, c) mod 5, and same in the first slot
+    # E(a, b + c) = E(a, b) + E(a, c) mod 5, and same in the first slot, for
+    # the canonical table and for seeded integer matrices with entries in
+    # -9..9, skew and not
     t = indices.tables()
-    E = canonical_table.exp.astype(np.int16)
+    entries = np.random.default_rng(57).integers(-9, 10, size=(6, 5, 5))
+    upper = np.triu(entries[3:], 1)
+    matrices = list(entries[:3]) + list(upper - upper.transpose(0, 2, 1))
     rng = np.random.default_rng(56)
-    for _ in range(25):
-        b, c = (int(x) for x in rng.integers(0, 625, size=2))
-        bc = int(t.sum_idx[b, c])
-        assert ((E[:, b] + E[:, c]) % 5 == E[:, bc]).all()
-        assert ((E[b, :] + E[c, :]) % 5 == E[bc, :]).all()
+    for E in [canonical_table.exp] + [exponent_matrix(m.tolist()) for m in matrices]:
+        E = E.astype(np.int16)
+        for _ in range(25):
+            b, c = (int(x) for x in rng.integers(0, 625, size=2))
+            bc = int(t.sum_idx[b, c])
+            assert ((E[:, b] + E[:, c]) % 5 == E[:, bc]).all()
+            assert ((E[b, :] + E[c, :]) % 5 == E[bc, :]).all()
 
 
 def test_exponent_matrix_of_plain_rows_with_huge_entries(canonical_matrix):
@@ -561,6 +569,14 @@ def test_table_json_roundtrip(canonical_table):
     assert (loaded.sum_idx == canonical_table.sum_idx).all()
     for pair in ((0, 0), (17, 311), (624, 624)):
         assert loaded.entry(*pair) == canonical_table.entry(*pair)
+    # seeded admissible matrices, through the bytes that build-table writes
+    for matrix in sample_admissible(4, seed=58):
+        table = build_table(matrix)
+        text = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":"))
+        loaded = structure.StructureTable.from_json(json.loads(text))
+        assert loaded.source_matrix == matrix
+        assert (loaded.exp == table.exp).all()
+        assert json.dumps(loaded.to_json(), sort_keys=True, separators=(",", ":")) == text
 
 
 def _drop_last_row(data):
