@@ -35,10 +35,16 @@ _MODULES = ("errors", "cyclotomic", "indices", "qmatrix", "structure", "rewrite"
 def __getattr__(name):
     if name in _MODULES:
         return importlib.import_module("." + name, __name__)
-    modules = (__getattr__(m) for m in _MODULES)  # each imported when reached
+    # each module imported when the search reaches it; a dunder probe loads none
+    probe = name.startswith("__") and name != "__all__"
+    modules = (__getattr__(m) for m in _MODULES if not probe)
     if name == "__all__":
         return ["__version__"] + [n for module in modules for n in module.__all__]
     for module in modules:
         if name in module.__all__:
             return getattr(module, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return set(globals()) | set(__getattr__("__all__"))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from typing import List, Optional, Tuple
 
@@ -211,9 +212,12 @@ def _cmd_hilbert(args: argparse.Namespace):
 def _cmd_normal_form(args: argparse.Namespace):
     matrix = _load_matrix(args.matrix)
     word = _parse_word(args.word)
+    # t_0^(5k) has C(k+3, 3) standard terms; refuse over 10,000 (2 MB of JSON)
+    terms = math.comb(word.count(0) // 5 + 3, 3)
+    if terms > 10_000:
+        raise PreconditionError("word expands into %d standard terms, more than 10000" % terms)
     try:
-        # more than 10,000 terms is about 2 MB of JSON
-        element = rewrite.normal_form(word, matrix, max_terms=10_000)
+        element = rewrite.normal_form(word, matrix)
     except PreconditionError:
         raise
     except ValueError as exc:

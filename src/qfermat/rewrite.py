@@ -223,22 +223,13 @@ def _cross_exponent(e: Sequence[int], f: Sequence[int], entries) -> int:
     return s % 5
 
 
-def normal_form(w: Sequence[int], N: QMatrix,
-                max_terms: Optional[int] = None) -> AlgElement:
+def normal_form(w: Sequence[int], N: QMatrix) -> AlgElement:
     """Reduce a word (sequence of generator indices) to the standard basis.
 
     The result equals the word's product in the algebra: phase one collects
     zeta^{n_ij} for every inversion of the word, phase two eliminates fifth
-    powers of t_0 through the quintic relation.  A word with m letters 0
-    expands t_0^(5k), k = m // 5, into C(k+3, 3) terms; over max_terms, if
-    given, it is refused with PreconditionError before its letters or the
-    matrix are checked, and before any expansion.
+    powers of t_0 through the quintic relation.
     """
-    if max_terms is not None:
-        terms = comb(sum(int(x) == 0 for x in w) // 5 + 3, 3)
-        if terms > max_terms:
-            raise PreconditionError("word expands into %d standard terms, more than %d"
-                                    % (terms, max_terms))
     entries = _check_matrix(N).entries
     s = 0
     counts = [0] * 5

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import qfermat
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "qfermat").glob("*.py"))
 
@@ -117,10 +119,6 @@ def test_readme_library_imports_resolve():
     assert set(names) <= set(package.__all__)
 
 
-# the modules whose __all__ the package re-exports, in the order it searches them
-PACKAGE_MODULES = ("errors", "cyclotomic", "indices", "qmatrix", "structure", "rewrite",
-                   "fiber", "cohomology")
-
 # qfermat.__all__ when it was a list written out in __init__.py
 EXPORTED_BEFORE = [
     "__version__", "ToolkitError", "PreconditionError", "BudgetExceededError", "CycNum",
@@ -154,7 +152,7 @@ _LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
 def test_package_modules_declare_disjoint_literal_names():
     # a name listed twice would resolve by module order alone
     owner = {}
-    for module in PACKAGE_MODULES:
+    for module in qfermat._MODULES:
         tree = _parse(ROOT / "src" / "qfermat" / (module + ".py"))
         lists = [node.value for node in tree.body if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
@@ -170,15 +168,17 @@ def test_package_names_resolve_in_a_fresh_process():
     code = ("import json, qfermat\n"
             "from qfermat import *\n"
             "print(json.dumps([qfermat.__all__, [n for n in qfermat.__all__ "
-            "if globals().get(n) is not getattr(qfermat, n)]]))")
-    names, unbound = _fresh(code)
-    assert unbound == []
+            "if globals().get(n) is not getattr(qfermat, n)], sorted(dir(qfermat))]))")
+    names, unbound, listed = _fresh(code)
+    assert unbound == [] and set(names) <= set(listed)
     assert set(EXPORTED_BEFORE) <= set(names) and len(names) == len(set(names))
     assert names[0] == "__version__"
 
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    # nor does a probe for a dunder name the package does not define
     assert _fresh("import qfermat; " + _LOADED) == []
+    assert _fresh("import qfermat; assert not hasattr(qfermat, '__wrapped__'); " + _LOADED) == []
 
 
 def test_importing_the_cli_loads_every_package_module():
@@ -186,7 +186,7 @@ def test_importing_the_cli_loads_every_package_module():
     # wraps the functions of the modules already loaded; a module the CLI
     # imported only inside a handler would record no spans
     loaded = _fresh("import qfermat.cli; " + _LOADED)
-    assert {"qfermat." + m for m in PACKAGE_MODULES} <= set(loaded)
+    assert {"qfermat." + m for m in qfermat._MODULES} <= set(loaded)
 
 
 _FLOAT_DTYPES = {"float16", "float32", "float64", "floating"}

@@ -1,6 +1,6 @@
 """Derandomized property tests: CycNum against sympy, and the CLI's failure
 contract under junk command lines and input files; and seeded words for the
-term cap of normal_form.
+term cap of normal-form.
 
 derandomize=True fixes the examples, so these tests are as deterministic as
 the rest of the suite; database=None, and the temporary home directory that
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from qfermat.cli import main
 from qfermat.cyclotomic import ONE, CycNum, root_power
-from qfermat.errors import PreconditionError
 from qfermat.qmatrix import QMatrix
 from qfermat.rewrite import normal_form
 
@@ -72,10 +71,8 @@ def test_times_root_and_galois(x, y, k):
 
 
 # ---------------------------------------------------------
-# normal_form's term cap: t_0^(5k) has C(k+3, 3) standard terms
+# normal-form's term cap: t_0^(5k) has C(k+3, 3) standard terms
 # ---------------------------------------------------------
-
-CAP = 10_000  # C(40, 3) = 9880 terms at k = 37, C(41, 3) = 10660 at k = 38
 
 
 def _t0_heavy_words(seed, zero_counts):
@@ -84,39 +81,59 @@ def _t0_heavy_words(seed, zero_counts):
     for zeros in zero_counts:
         word = [0] * zeros + [rng.randint(1, 4) for _ in range(rng.randint(0, 12))]
         rng.shuffle(word)
-        yield tuple(word)
+        yield word
 
 
-def test_normal_form_under_the_cap_has_the_predicted_term_count(canonical_matrix):
+def _matrix_files(tmp_path, *matrices):
+    paths = []
+    for i, matrix in enumerate(matrices):
+        paths.append(tmp_path / ("matrix%d.json" % i))
+        paths[-1].write_text(json.dumps(matrix.to_json()))
+    return [str(path) for path in paths]
+
+
+def test_normal_form_under_the_cap_has_the_predicted_term_count(
+        capsys, tmp_path, canonical_matrix):
+    (matrix,) = _matrix_files(tmp_path, canonical_matrix)
     rng = random.Random(11)
     zero_counts = [0, 4, 5, 94, 185, 189] + [rng.randint(0, 189) for _ in range(6)]
     for word in _t0_heavy_words(12, zero_counts):
-        k = word.count(0) // 5
-        assert len(normal_form(word, canonical_matrix, max_terms=CAP).terms) == comb(k + 3, 3)
+        code = main(["normal-form", "--matrix", matrix, "--word", ",".join(map(str, word))])
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert code == 0 and len(terms) == comb(word.count(0) // 5 + 3, 3)
+        assert len(normal_form(word, canonical_matrix).terms) == len(terms)
 
 
-def test_normal_form_over_the_cap_is_refused_at_once(canonical_matrix):
+def test_normal_form_over_the_cap_is_refused_at_once(capsys, tmp_path, canonical_matrix):
     # the count is decided before the letters and the matrix are checked, so
-    # a letter outside 0..4 or a non-admissible matrix changes nothing
+    # a letter outside 0..4 or a non-admissible matrix changes nothing.  Time
+    # and memory are bounded by 50 ms and 1 MiB plus what parsing costs per
+    # letter; an expansion would need C(k+3, 3) terms, over 10^4 here
+    files = _matrix_files(tmp_path, canonical_matrix,
+                          QMatrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4))
     rng = random.Random(13)
-    non_admissible = QMatrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4)
     zero_counts = [190, 194, 5000, 100_000] + [rng.randint(190, 20_000) for _ in range(6)]
     for i, word in enumerate(_t0_heavy_words(14, zero_counts)):
-        word += [(), (7,), (-1,)][i % 3]
+        word += [[], [7], [-1]][i % 3]
+        argv = ["--word", ",".join(map(str, word))]
         message = "%d standard terms" % comb(word.count(0) // 5 + 3, 3)
-        for matrix in (canonical_matrix, non_admissible):
+        for matrix in files:
             start = time.perf_counter()
-            with pytest.raises(PreconditionError, match=message):
-                normal_form(word, matrix, max_terms=CAP)
-            assert time.perf_counter() - start < 0.05
+            code = main(["normal-form", "--matrix", matrix] + argv)
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            error = json.loads(captured.err)["error"]
+            assert code == 3 and captured.out == "" and error["kind"] == "precondition"
+            assert message in error["message"]
+            assert elapsed < 0.05 + 1e-6 * len(word)
         tracemalloc.start()
         try:
-            with pytest.raises(PreconditionError):
-                normal_form(word, canonical_matrix, max_terms=CAP)
+            assert main(["normal-form", "--matrix", files[0]] + argv) == 3
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
+        capsys.readouterr()
+        assert peak < 2 ** 20 + 32 * len(word)
 
 
 # ---------------------------------------------------------
