@@ -17,14 +17,15 @@ with no floating-point arithmetic anywhere a theorem is decided:
   - cohomology:  Hilbert polynomials and twisted-sheaf cohomology over P^3
   - cli:         the `qfermat` command-line entry point
 
-`from qfermat import X` resolves X on first use (PEP 562) from the `__all__`
-lists of _MODULES, searched in order and each imported when the search
-reaches it; so each public name is declared once, in its own module, and
+`from qfermat import X` resolves X on first use (PEP 562): a submodule's name
+gives the submodule, and any other name is looked up in the `__all__` lists
+of _MODULES, searched in order and each imported when the search reaches
+it; so each public name is declared once, in its own module, and
 `import qfermat` alone loads no submodule.  The package's `__all__` is
 `__version__` plus those lists, in module order.
 """
 
-import importlib
+import importlib.util
 
 __version__ = "0.1.0"
 
@@ -33,10 +34,11 @@ _MODULES = ("errors", "cyclotomic", "indices", "qmatrix", "structure", "rewrite"
 
 
 def __getattr__(name):
-    if name in _MODULES:
-        return importlib.import_module("." + name, __name__)
     # each module imported when the search reaches it; a dunder probe loads none
     probe = name.startswith("__") and name != "__all__"
+    # any submodule, re-exported or not (linalg, cli), loaded yet or not
+    if not probe and name.isidentifier() and importlib.util.find_spec("." + name, __name__):
+        return importlib.import_module("." + name, __name__)
     modules = (__getattr__(m) for m in _MODULES if not probe)
     if name == "__all__":
         return ["__version__"] + [n for module in modules for n in module.__all__]

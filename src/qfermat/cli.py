@@ -61,27 +61,6 @@ def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _human_lines(obj, indent: int = 0) -> List[str]:
-    pad = "  " * indent
-    lines: List[str] = []
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            value = obj[key]
-            if isinstance(value, (dict, list)) and value:
-                lines.append("%s%s:" % (pad, key))
-                lines.extend(_human_lines(value, indent + 1))
-            else:
-                lines.append("%s%s: %s" % (pad, key, json.dumps(value)))
-    else:
-        for value in obj:
-            if isinstance(value, (dict, list)):
-                lines.append("%s-" % pad)
-                lines.extend(_human_lines(value, indent + 1))
-            else:
-                lines.append("%s- %s" % (pad, json.dumps(value)))
-    return lines
-
-
 def _load(path: str, build, what: str):
     """build(document) for the JSON in path; any failure is a parse error."""
     try:
@@ -292,8 +271,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qfermat", description=__doc__.splitlines()[0])
-    parser.add_argument("--emit", choices=("json", "human"), default="json",
-                        help="output format (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify quantum parameter matrices")
@@ -373,10 +350,7 @@ def main(argv: Optional[List[str]] = None, stdout=None, stderr=None) -> int:
                 err[key] = getattr(exc, key)
         (stderr if stderr is not None else sys.stderr).write(_dumps({"error": err}))
         return _EXIT_STATUS[exc.kind]
-    if args.emit == "human":
-        out.write("\n".join(_human_lines(payload)) + "\n")
-    else:
-        out.write(_dumps(payload))
+    out.write(_dumps(payload))
     return code
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import indices
 from .errors import PreconditionError
@@ -243,22 +243,18 @@ def section_dimension_sum(twists: TwistMultiset, n: int) -> int:
     return sheaf_cohomology(twists, n)[0]
 
 
-def dt_polynomial_pair(h: RatPolynomial,
-                       twists: Optional[TwistMultiset] = None,
-                       ) -> Tuple[RatPolynomial, RatPolynomial]:
+def dt_polynomial_pair(h: RatPolynomial) -> Tuple[RatPolynomial, RatPolynomial]:
     """Split a degree <= 1 input against the rank-one background polynomial.
 
-    Returns (h, p0 - h), p0 the Hilbert polynomial of the given multiset
-    (the coordinate-algebra decomposition when omitted): the Hilbert
-    polynomials of a quotient of dimension <= 1 and of its rank-one kernel,
-    against the background p0.  DT-type invariants of rank-one sheaves are
-    indexed by this data; none is computed here.  Inputs of degree 2 or
-    higher are rejected: no such quotient has them."""
+    Returns (h, p0 - h), p0 the Hilbert polynomial of the coordinate-algebra
+    decomposition: the Hilbert polynomials of a quotient of dimension <= 1
+    and of its rank-one kernel, against the background p0.  DT-type
+    invariants of rank-one sheaves are indexed by this data; none is
+    computed here.  Inputs of degree 2 or higher are rejected: no such
+    quotient has them."""
     if h.degree > 1:
         raise PreconditionError(
             "deviation polynomial must have degree at most 1, got degree %d"
             % (h.degree,))
-    if twists is None:
-        twists = algebra_twist_multiset()
-    p0 = hilbert_polynomial(twists)
+    p0 = hilbert_polynomial(algebra_twist_multiset())
     return (h, p0 - h)

@@ -239,7 +239,7 @@ def specialize(table: StructureTable, point: Union[FiberPoint, Sequence]) -> Fib
     report = verify_associativity(table, "exact-bilinear")
     if not report:
         raise PreconditionError(
-            "refusing to specialize a table that fails associativity: %r"
+            "refusing to specialize a table that fails exact-bilinear verification: %r"
             % (report.violations[:1],))
     return FiberAlgebra(table, point)
 

@@ -296,18 +296,15 @@ def is_central(x: AlgElement, N: QMatrix) -> bool:
     return True
 
 
-def graded_dimension(n: int, N: Optional[QMatrix] = None) -> int:
+def graded_dimension(n: int) -> int:
     """Number of standard monomials of total degree n.
 
-    The count does not depend on the parameter matrix (the q-parameters
-    deform the product, not the basis); N is accepted for signature
-    compatibility and validated when provided.
+    The count does not depend on the parameter matrix: the q-parameters
+    deform the product, not the basis.
     """
     n = int(n)
     if n < 0:
         raise PreconditionError("degree must be nonnegative")
-    if N is not None:
-        _check_matrix(N)
     return sum(comb(n - e0 + 3, 3) for e0 in range(min(4, n) + 1))
 
 

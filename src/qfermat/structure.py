@@ -403,7 +403,7 @@ def parse_mode(mode: str) -> Tuple[str, Optional[int]]:
         if m.startswith(open_) and m.endswith(close):
             body = m[len(open_):len(m) - len(close)]
             try:
-                n = int(body.replace("_", ""))
+                n = int(body)
             except ValueError:
                 break
             if n <= 0:

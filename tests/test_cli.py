@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -331,14 +332,6 @@ def test_hilbert_deterministic_bytes(capsys):
     assert json.loads(out1)["value"] == "875"
 
 
-def test_human_emit(capsys):
-    code = main(["--emit", "human", "hilbert", "--twists", "0:1", "--at", "3"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "value: \"20\"" in captured.out
-    assert "{" not in captured.out
-
-
 # ---------------------------------------------------------
 # normal-form
 # ---------------------------------------------------------
@@ -369,6 +362,16 @@ def test_normal_form_rejects_bad_letters(capsys, matrix_file):
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.err)["error"]["kind"] == "usage"
+
+
+def test_normal_form_on_a_non_admissible_matrix_is_a_precondition_record(capsys, tmp_path):
+    # PreconditionError is a ValueError, so it must pass the handler's
+    # ValueError-to-usage branch unchanged
+    path = tmp_path / "skew-only.json"
+    path.write_text(json.dumps(QMatrix.from_upper([1] + [0] * 9).to_json()))
+    code, record = _json_run(capsys, ["normal-form", "--matrix", str(path), "--word", "2,1,0"])
+    assert code == 3
+    assert record["error"]["kind"] == "precondition"
 
 
 def test_normal_form_caps_the_predicted_term_count(capsys, matrix_file):
@@ -451,6 +454,16 @@ def test_sampled_violations_match_pinned_hash(capsys, table_file, tmp_path):
     assert json.loads(out)["violations"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e9b96438989e14a7dd7dc74dde7c65eb278fa51fa81b3b72674a3b3f07ee237b")
+
+
+def test_help_is_the_only_global_option(capsys):
+    # all output is JSON, so there is no global renderer option
+    out = io.StringIO()
+    assert main(["--help"], stdout=out) == 0
+    assert re.findall(r"^  (-\S+)", out.getvalue().split("options:")[1], re.M) == ["-h,"]
+    for argv in (["--emit", "json", "classify"], ["--emit", "human", "classify"]):
+        code, record = _json_run(capsys, argv)
+        assert code == 2 and record["error"]["kind"] == "usage"
 
 
 def test_unknown_command(capsys):

@@ -224,9 +224,3 @@ def test_dt_pair_coefficientwise_example():
 def test_dt_pair_rejects_degree_two():
     with pytest.raises(PreconditionError):
         dt_polynomial_pair(RatPolynomial([0, 0, 1]))
-
-
-def test_dt_pair_custom_multiset():
-    tw = TwistMultiset([(0, 2)])
-    left, right = dt_polynomial_pair(RatPolynomial([1]), tw)
-    assert left + right == hilbert_polynomial(tw)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -258,6 +259,41 @@ def test_radical_basis_members_square_to_zero_direction(canonical_table):
 def test_radical_closure_on_degenerate_point(canonical_table):
     F = specialize(canonical_table, DEGENERATE)
     assert radical_is_ideal(F)
+
+
+# |support| -> (radical dimension, center of A_p / J, squared dimension of its
+# simple modules) for the canonical matrix
+SUPPORT_FACTS = {2: (620, 5, 1), 3: (600, 1, 25), 4: (500, 5, 25), 5: (0, 25, 25)}
+
+
+def test_fiber_radical_and_quotient_are_read_off_the_support(canonical_table):
+    # at a point p with support sigma the radical is spanned by the e_a with a
+    # outside G_sigma = {a : supp a in sigma}, a subgroup of order
+    # 5^(|sigma|-1); A_p / J is the twisted group algebra of G_sigma, whose
+    # center is spanned by the kernel of omega_N(a, b) = a N b mod 5 on
+    # G_sigma, of order 5^(|sigma|-1-r) for r the F_5 rank of omega_N there
+    t = indices.tables()
+    idx = t.idx.astype(np.int64)
+    n = np.array(canonical_table.source_matrix.entries, dtype=np.int64)
+    seen = {}
+    for size in SUPPORT_FACTS:
+        for sigma in itertools.combinations(range(5), size):
+            point = [int(i in sigma) for i in range(5)]
+            point[sigma[-1]] = 1 - size
+            F = specialize(canonical_table, point)
+            outside = [i for i in range(5) if i not in sigma]
+            G = np.flatnonzero((t.idx[:, outside] == 0).all(axis=1)).tolist()
+            assert len(G) == 5 ** (size - 1)
+            radical = sorted(pos for vec in radical_basis(F) for pos in vec)
+            assert radical == sorted(set(range(625)) - set(G)), sigma
+            kernel = int((idx[G] @ n @ idx[G].T % 5 == 0).all(axis=1).sum())
+            if size < 5:  # the 625-dimensional solve is left out
+                where = {g: k for k, g in enumerate(G)}
+                quotient = MonomialAlgebra([[where[int(t.sum_idx[a, b])] for b in G] for a in G],
+                                           [[F.scalar(a, b) for b in G] for a in G])
+                assert center_dim(quotient, method="solve") == kernel, sigma
+            seen.setdefault(size, set()).add((len(radical), kernel, len(G) // kernel))
+    assert seen == {size: {facts} for size, facts in SUPPORT_FACTS.items()}
 
 
 def test_semisimple_iff_radical_trivial(canonical_table):

@@ -181,6 +181,14 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert _fresh("import qfermat; assert not hasattr(qfermat, '__wrapped__'); " + _LOADED) == []
 
 
+def test_submodules_outside_the_eight_resolve_on_first_access():
+    # the package re-exports no name of linalg or cli, yet each is an
+    # attribute at once, not only after some other access has imported it
+    code = ("import json, qfermat\n"
+            "print(json.dumps([qfermat.linalg.__name__, qfermat.cli.__name__]))")
+    assert _fresh(code) == ["qfermat.linalg", "qfermat.cli"]
+
+
 def test_importing_the_cli_loads_every_package_module():
     # the traced benchmark (perfbench/worker.py) imports qfermat.cli and then
     # wraps the functions of the modules already loaded; a module the CLI

@@ -198,8 +198,7 @@ def _argvs(matrix, table, out_paths):
         st.tuples(st.just(["fiber", "--table=" + table]), _opt("--point", _csv(
             _ints(-3, 3) | st.sampled_from(["1/2", "-1/3", "z", "1/0"]), 6))),
     )
-    emit = _maybe("--emit", st.sampled_from(["json", "human", "xml"]))
-    return st.tuples(emit, commands).map(lambda t: t[0] + sum(t[1], []))
+    return commands.map(lambda parts: sum(parts, []))
 
 
 @pytest.fixture(scope="module")

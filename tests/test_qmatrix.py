@@ -281,6 +281,37 @@ def test_orbit_stabilizer_certificate():
         assert set(images) == generic
 
 
+def test_class_equation_over_the_admissible_matrices():
+    # the orbits partition all 15625 admissible matrices, so the orbit sizes
+    # |G| / |Stab(r)| over one representative r per orbit sum to 15625; each
+    # stabilizer is counted over every group element, listed as above
+    twists = np.array([(0,) + v for v in itertools.product(range(5), repeat=4)
+                       if sum(v) % 5 == 0])
+    perms = np.array(list(itertools.permutations(range(5))))
+    admissible = enumerate_admissible()
+    rng = np.random.default_rng(17)
+    for actions, scalings, count in ((ALL_ACTIONS, [1, 2, 3, 4], 4),
+                                     (("permute", "twist"), [1], 6)):
+        reps = {canonical_representative(m, actions) for m in admissible}
+        assert len(reps) == count
+        total = 0
+        for r in reps:
+            n = np.array(r.entries)
+            # entry (i, j) of image [k, v, s] is scalings[k] (n_ij + v_i - v_j)[s_i, s_j]
+            twisted = n + twists[:, :, None] - twists[:, None, :]
+            images = np.multiply.outer(scalings, twisted[:, perms[:, :, None],
+                                                         perms[:, None, :]]) % 5
+            order = images.size // 25
+            assert order == 15_000 * len(scalings)
+            for k, v, s in zip(*(rng.integers(0, m, 10) for m in images.shape[:3])):
+                image = act_scale(act_permute(act_twist(r, twists[v]), perms[s]), scalings[k])
+                assert images[k, v, s].tolist() == [list(row) for row in image.entries]
+            stabilizer = int((images == n).all(axis=(-2, -1)).sum())
+            assert order % stabilizer == 0
+            total += order // stabilizer
+        assert total == 15625, actions
+
+
 def _bfs_orbit(start, actions):
     """Closure of {start} under the generators, through the public actions."""
     moves = []

@@ -305,12 +305,6 @@ def test_graded_dimension_counts_basis_monomials():
         assert graded_dimension(n) == count
 
 
-def test_graded_dimension_ignores_matrix_choice():
-    for n in (0, 3, 7, 12):
-        assert graded_dimension(n, CANONICAL) == graded_dimension(n)
-        assert graded_dimension(n, QMatrix.zero()) == graded_dimension(n)
-
-
 def test_graded_dimension_rejects_negative():
     with pytest.raises(PreconditionError):
         graded_dimension(-1)

@@ -6,6 +6,7 @@ import pytest
 from qfermat import indices, structure
 from qfermat.cyclotomic import root_power
 from qfermat.errors import BudgetExceededError, PreconditionError
+from qfermat.fiber import specialize
 from qfermat.indices import complement, index_add
 from qfermat.qmatrix import QMatrix, act_twist, is_admissible, sample_admissible
 from qfermat.structure import (
@@ -180,10 +181,10 @@ def test_parse_mode_accepts_both_spellings():
     assert parse_mode("full") == parse_mode("full-triple")
     assert parse_mode("sampled=250") == ("sampled", 250)
     assert parse_mode("sampled(250)") == ("sampled", 250)
-    with pytest.raises(PreconditionError):
-        parse_mode("fuzzy")
-    with pytest.raises(PreconditionError):
-        parse_mode("sampled=0")
+    assert parse_mode("sampled=1_000") == ("sampled", 1000)
+    for mode in ("fuzzy", "sampled=0", "sampled(1__0)", "sampled=_1", "sampled(abc)"):
+        with pytest.raises(PreconditionError):
+            parse_mode(mode)
 
 
 def test_corrupted_exponent_detected_by_every_mode(canonical_table):
@@ -202,6 +203,22 @@ def test_corrupted_exponent_detected_by_every_mode(canonical_table):
 
     with_full = verify_associativity(bad, "full", budget_seconds=300)
     assert not with_full.ok
+
+
+def test_exact_bilinear_is_stricter_than_associativity(canonical_matrix, canonical_table):
+    # a twisted matrix's exponents differ from N's by a coboundary: the table
+    # is associative, but its exponents are not N's bilinear form
+    twisted = exponent_matrix(act_twist(canonical_matrix, (0, 1, 2, 3, 4)))
+    assert int((twisted != canonical_table.exp).sum()) == 312_000
+    table = structure.StructureTable(canonical_matrix, twisted)
+    assert verify_associativity(table, "full").ok
+    assert verify_associativity(table, "sampled(100000)", seed=3).ok
+    exact = verify_associativity(table)
+    assert not exact.ok
+    assert len(exact.violations) == 20
+    assert {v["kind"] for v in exact.violations} == {"bilinear-form"}
+    with pytest.raises(PreconditionError, match="fails exact-bilinear verification"):
+        specialize(table, (1, 1, 1, 1, -4))
 
 
 def test_recorded_violations_carry_both_cocycle_sides(canonical_table):
