@@ -18,7 +18,8 @@ with no floating-point arithmetic anywhere a theorem is decided:
   - cli:         the `qfermat` command-line entry point
 
 `from qfermat import X` resolves X on first use (PEP 562): a submodule's name
-gives the submodule, and any other name is looked up in the `__all__` lists
+gives the submodule, a name with a leading underscore other than `__all__`
+is refused at once, and any other name is looked up in the `__all__` lists
 of _MODULES, searched in order and each imported when the search reaches
 it; so each public name is declared once, in its own module, and
 `import qfermat` alone loads no submodule.  The package's `__all__` is
@@ -34,8 +35,8 @@ _MODULES = ("errors", "cyclotomic", "indices", "qmatrix", "structure", "rewrite"
 
 
 def __getattr__(name):
-    # each module imported when the search reaches it; a dunder probe loads none
-    probe = name.startswith("__") and name != "__all__"
+    # no __all__ lists a name with a leading underscore: a probe for one loads none
+    probe = name.startswith("_") and name != "__all__"
     # any submodule, re-exported or not (linalg, cli), loaded yet or not
     if not probe and name.isidentifier() and importlib.util.find_spec("." + name, __name__):
         return importlib.import_module("." + name, __name__)

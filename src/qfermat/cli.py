@@ -100,6 +100,12 @@ def _parse_actions(text: Optional[str]):
     return names
 
 
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the output path must not be empty")
+    return text
+
+
 def _parse_word(text: str) -> Tuple[int, ...]:
     parts = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
@@ -133,8 +139,6 @@ def _cmd_classify(args: argparse.Namespace):
 
 
 def _cmd_build_table(args: argparse.Namespace):
-    if not args.out:
-        raise _CliError("usage", "build-table requires --out for the table file")
     matrix = _load_matrix(args.matrix)
     table = structure.build_table(matrix)
     text = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -209,9 +213,12 @@ def _cmd_normal_form(args: argparse.Namespace):
 
 
 def _cmd_report(args: argparse.Namespace):
-    classification = qmatrix.classify()
     base = qmatrix.canonical_generic_representative()
     table = structure.build_table(base)
+    # first, so that a refused seed stops the report before its other work
+    sampled = None if args.seed is None else structure.verify_associativity(
+        table, "sampled=100000", seed=args.seed)
+    classification = qmatrix.classify()
     certificate = structure.cy_certificate(table)
 
     fifth_powers = [rewrite.normal_form((i,) * 5, base) for i in range(5)]
@@ -256,9 +263,7 @@ def _cmd_report(args: argparse.Namespace):
         "dimensions": dims,
         "cohomology": coh,
     }
-    if args.seed is not None:
-        sampled = structure.verify_associativity(
-            table, "sampled=100000", seed=args.seed)
+    if sampled is not None:
         payload["sampled_verification"] = sampled.to_json()
     return payload, 0, []
 
@@ -277,13 +282,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_classify)
     p.add_argument("--actions", default=None,
                    help="comma-separated subset of scale,permute,twist")
-    p.add_argument("--emit-matrices", default=None,
+    p.add_argument("--emit-matrices", type=_out_path, default=None,
                    metavar="OUT.json", help="write canonical representatives here")
 
     p = sub.add_parser("build-table", help="build the structure-constant table")
     p.set_defaults(handler=_cmd_build_table)
     p.add_argument("--matrix", required=True, help="5x5 integer matrix JSON file")
-    p.add_argument("--out", required=True, help="destination table JSON file")
+    p.add_argument("--out", type=_out_path, required=True, help="destination table JSON file")
 
     p = sub.add_parser("verify", help="verify associativity of a stored table")
     p.set_defaults(handler=_cmd_verify)

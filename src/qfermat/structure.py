@@ -14,15 +14,17 @@ bookkeeping of the index monoid.  Each carry contributes one degree-1
 coordinate factor, matching the weight drop |a| + |b| - |a+b|.
 
 The Frobenius pairing is multiplication followed by projection onto the top
-component at (4,4,4,4,4); the complementary pair (a, top - a) never carries,
-so the pairing matrix has exactly one nonzero entry per row and column and
-that entry is a pure root of unity.  For admissible N (zero row sums) the
+component at (4,4,4,4,4); a + b is the top index only for b = comp(a) =
+(4,4,4,4,4) - a, and that pair never carries, so the pairing has exactly one
+nonzero entry per row and column, the root of unity zeta^{E(a, comp a)}, and
+is given by those 625 exponents.  For admissible N (zero row sums) the
 pairing is symmetric; over arbitrary skew matrices, elementwise symmetry of
 the 625 antidiagonal pairs is equivalent to all row sums being equal mod 5.
 
-Exponents are computed and stored as a (625, 625) int8 array and realized
-as field elements only at API boundaries; targets and carries are the
-shared arrays of the index module.  Writing E(a,b) = <a L, b> with L the
+The module works in Z/5 throughout: exponents are computed and stored as a
+(625, 625) int8 array, and field elements enter only where a fiber is
+specialized or a word is rewritten; targets and carries are the shared
+arrays of the index module.  Writing E(a,b) = <a L, b> with L the
 strict lower triangle of N makes each row of E a row of one fixed table of
 four-digit dot products mod 5, so building E is an integer row gather and
 no floating point enters.  The verification kernels share one residue rule:
@@ -46,14 +48,12 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import indices
-from .cyclotomic import CycNum, ZERO, root_power
 from .errors import BudgetExceededError, PreconditionError
 from .indices import CarryVector, MultiIndex
 from .qmatrix import QMatrix, is_admissible
 
 __all__ = [
     "StructureTable",
-    "PairingMatrix",
     "AssociativityReport",
     "CyCertificate",
     "exponent_matrix",
@@ -64,8 +64,8 @@ __all__ = [
     "cy_certificate",
 ]
 
-# deterministic linearity witnesses: the zero index plus the first 24
-# weight-1 indices in lex order
+# deterministic linearity witnesses: the first 25 positions, the indices
+# (0,0,x,y,-x-y mod 5) in lex order
 _WITNESS_COUNT = 25
 
 
@@ -114,20 +114,11 @@ class StructureTable:
         self.exp = exp
         self.exp.setflags(write=False)
 
-    @property
-    def sum_idx(self) -> np.ndarray:
-        """(625, 625) position of a+b, shared by every table."""
-        return indices.tables().sum_idx
-
     # -- element access --------------------------------------------------
 
     def coeff_exponent(self, a, b) -> int:
         """E(a,b) in 0..4."""
         return int(self.exp[indices.position(a), indices.position(b)])
-
-    def coefficient(self, a, b) -> CycNum:
-        """The scalar part zeta^{E(a,b)} as a field element."""
-        return root_power(self.coeff_exponent(a, b))
 
     def entry(self, a, b) -> Tuple[int, CarryVector, MultiIndex]:
         """(coefficient exponent, carry vector, target index) at (a, b)."""
@@ -233,7 +224,7 @@ def _violation(kind: str, a: int, b: int, c: Optional[int], lhs, rhs) -> dict:
 def _cocycle_violation(table: StructureTable, a: int, b: int, c: int) -> dict:
     """Record of the triple with its two cocycle sides E(a,b) + E(a+b,c) and
     E(b,c) + E(a,b+c), each mod 5."""
-    exp, s = table.exp, table.sum_idx
+    exp, s = table.exp, indices.tables().sum_idx
     lhs = int(exp[a, b]) + int(exp[s[a, b], c])
     rhs = int(exp[b, c]) + int(exp[a, s[b, c]])
     return _violation("cocycle", a, b, c, lhs % 5, rhs % 5)
@@ -241,8 +232,8 @@ def _cocycle_violation(table: StructureTable, a: int, b: int, c: int) -> dict:
 
 def _find_cocycle_violation(table: StructureTable, a: int, b: int) -> Optional[dict]:
     """Search c such that the stored exponents violate the cocycle at (a, b, c)."""
-    exp = table.exp.astype(np.int16)
-    s = table.sum_idx
+    # sums and differences of two exponents 0..4 stay in [-8, 8], so int8 holds them
+    exp, s = table.exp, indices.tables().sum_idx
     for x, y in ((a, b), (b, a)):
         lhs = exp[x, y] + exp[s[x, y], :]
         rhs = exp[y, :] + exp[x, s[y, :]]
@@ -290,7 +281,7 @@ def _verify_exact_bilinear(table: StructureTable, report: AssociativityReport) -
 
     # linearity witnesses on the stored exponents, additive in each slot; the
     # first slot of the transpose is the second slot of the table
-    exp, s = table.exp, table.sum_idx
+    exp, s = table.exp, indices.tables().sum_idx
     res = _residues(exp)
     res_t = np.ascontiguousarray(res.T)
     for c in range(_WITNESS_COUNT):
@@ -326,7 +317,7 @@ def _verify_full_triple(table: StructureTable, report: AssociativityReport,
     slab = np.empty((5, 125, 5, 125), dtype=np.uint8)
     found = []
     for low in range(25):
-        shift = table.sum_idx[low, :25]  # position of j + low, j < 25
+        shift = indices.tables().sum_idx[low, :25]  # position of j + low, j < 25
         rows_low = np.take(res.reshape(25, 25, 625), shift, axis=1).reshape(5, 5, 25, 625)
         cols_low = np.take(res.reshape(15625, 25), shift, axis=1).reshape(625, 5, 5, 25)
         rows.reshape(2, 5, 2, 5, 25, 625)[...] = rows_low[None, :, None]
@@ -361,7 +352,7 @@ def _verify_sampled(table: StructureTable, n: int, seed: int,
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     # E and the sum positions read through flat pair codes x * 625 + y
-    exp, s = table.exp.view(np.uint8).ravel(), table.sum_idx.ravel()
+    exp, s = table.exp.view(np.uint8).ravel(), indices.tables().sum_idx.ravel()
     for lo in range(0, n, _SAMPLE_SLICE):
         _check_budget("sampled", start, budget_seconds)
         a, b, c = rng.integers(0, 625, (3, min(_SAMPLE_SLICE, n - lo)), dtype=np.int32)
@@ -470,57 +461,32 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
 # Frobenius pairing
 
 
-class PairingMatrix:
-    """The 625x625 pairing with one nonzero root-of-unity entry per row.
+def frobenius_pairing(table: StructureTable) -> np.ndarray:
+    """The (625,) int8 pairing exponents p[a] = E(a, comp a), in 0..4.
 
-    Row a pairs with the complementary column comp(a) = (4,4,4,4,4) - a and
-    the entry there is zeta^{exps[a]}; everything else is zero.
+    Projecting the product of a and b onto the top component (4,4,4,4,4)
+    leaves only b = comp(a), a pair that never carries, so the pairing is
+    zeta^{p[a]} at (a, comp a) and zero elsewhere.
     """
-
-    __slots__ = ("exps", "comp")
-
-    def __init__(self, exps: np.ndarray, comp: np.ndarray):
-        self.exps = exps
-        self.comp = comp
-
-    def entry(self, a, b) -> CycNum:
-        i, j = indices.position(a), indices.position(b)
-        if j != int(self.comp[i]):
-            return ZERO
-        return root_power(int(self.exps[i]))
-
-    def nonzero_column(self, a) -> MultiIndex:
-        i = indices.position(a)
-        return MultiIndex(tuple(int(d) for d in indices.tables().idx[self.comp[i]]))
-
-    def is_perfect(self) -> bool:
-        """Exactly one nonzero entry per row and per column."""
-        cols = np.sort(self.comp)
-        return bool((cols == np.arange(625)).all())
-
-    def is_symmetric(self) -> bool:
-        return bool((self.exps == self.exps[self.comp]).all())
-
-
-def frobenius_pairing(table: StructureTable) -> PairingMatrix:
-    """Project multiplication onto the top component (4,4,4,4,4).
-
-    The complementary pair never carries (digits sum to exactly 4), so each
-    entry is the pure root of unity with the stored exponent.
-    """
-    shared = indices.tables()
-    rows = np.arange(625)
-    comp = shared.comp.astype(np.int64)
-    assert not shared.carry_code[rows, comp].any(), "complementary pairs never carry"
-    exps = table.exp[rows, comp].copy()
-    return PairingMatrix(exps, comp)
+    return table.exp[np.arange(625), indices.tables().comp]
 
 
 def is_symmetric_pairing(table: StructureTable) -> bool:
     """True iff the pairing entry at (a, comp(a)) equals the one at (comp(a), a)
     for all 625 indices; for skew source matrices this is equivalent to all
     row sums being equal mod 5, hence always true on admissible tables."""
-    return frobenius_pairing(table).is_symmetric()
+    p = frobenius_pairing(table)
+    return bool((p == p[indices.tables().comp]).all())
+
+
+def _pairing_is_perfect() -> bool:
+    """True iff the pairing of every table has one nonzero entry per row and
+    per column: a + b is the top index, position 624, exactly for b = comp(a),
+    comp is a permutation, and no such pair carries."""
+    shared, rows = indices.tables(), np.arange(625)
+    return bool(np.array_equal(np.flatnonzero(shared.sum_idx == 624), rows * 625 + shared.comp)
+                and np.array_equal(np.sort(shared.comp), rows)
+                and not shared.carry_code[rows, shared.comp].any())
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +526,7 @@ def cy_certificate(source: Union[QMatrix, StructureTable]) -> CyCertificate:
     """
     table = source if isinstance(source, StructureTable) else build_table(source)
     assoc = verify_associativity(table, "exact-bilinear")
-    pairing = frobenius_pairing(table)
-    nondeg, sym = pairing.is_perfect(), pairing.is_symmetric()
+    nondeg, sym = _pairing_is_perfect(), is_symmetric_pairing(table)
     verdict = ("associativity failure" if not assoc.ok else
                "pairing degenerate" if not nondeg else
                "Frobenius, not symmetric" if not sym else

@@ -17,7 +17,7 @@ from qfermat.cohomology import (
     sheaf_cohomology,
 )
 from qfermat.fiber import center_dim, radical_is_ideal, specialize
-from qfermat.indices import enumerate_index_set, weight, weight_histogram
+from qfermat.indices import enumerate_index_set, tables, weight, weight_histogram
 from qfermat.qmatrix import (
     canonical_generic_representative,
     classify,
@@ -84,8 +84,22 @@ def test_criterion_3_table_soundness():
         sampled = verify_associativity(table, "sampled=1000000", seed=271828)
         assert sampled.ok and not sampled.violations
         assert sampled.checks >= 10 ** 6
+    # each generic pairing is E(a, comp a), read off N's entries directly
+    t, rows = tables(), np.arange(625)
+    digits = t.idx.astype(np.int64)
     for N in enumerate_generic():
-        assert frobenius_pairing(build_table(N)).is_perfect()
+        p = frobenius_pairing(build_table(N))
+        lower = np.tril(np.array(N.entries, dtype=np.int64), -1)
+        assert (p == np.einsum("ij,ai,aj->a", lower, digits, 4 - digits) % 5).all()
+        assert (p == p[t.comp]).all()
+    # and is perfect: over all 625^2 pairs, a + b is the top index
+    # (4,4,4,4,4) exactly when the digits sum to 4, that is for b = comp(a),
+    # a permutation, and no such pair carries
+    top = t.sum_idx == 624
+    assert (top == (digits[:, None] + digits[None] == 4).all(axis=-1)).all()
+    assert np.array_equal(np.flatnonzero(top), rows * 625 + t.comp)
+    assert np.array_equal(np.sort(t.comp), rows)
+    assert not t.carry_code[top].any()
     assert time.monotonic() - start <= 300.0
 
 

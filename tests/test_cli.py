@@ -106,16 +106,20 @@ def test_build_table_payload(capsys, matrix_file, tmp_path):
 
 
 def test_build_table_rejects_empty_out_before_building(capsys, matrix_file, monkeypatch):
-    def build_table(matrix):
-        raise AssertionError("the table was built before --out was checked")
+    def refuse(*args):
+        raise AssertionError("the command ran before its output path was checked")
 
-    monkeypatch.setattr(cli.structure, "build_table", build_table)
-    code = main(["build-table", "--matrix", matrix_file, "--out", ""])
-    captured = capsys.readouterr()
-    assert code == 2
-    record = json.loads(captured.err)
-    assert captured.out == "" and list(record) == ["error"]
-    assert record["error"]["kind"] == "usage"
+    monkeypatch.setattr(cli.structure, "build_table", refuse)
+    monkeypatch.setattr(cli.qmatrix, "classify", refuse)
+    for argv in (["build-table", "--matrix", matrix_file, "--out", ""],
+                 ["classify", "--emit-matrices", ""]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        record = json.loads(captured.err)
+        assert captured.out == "" and list(record) == ["error"]
+        assert record["error"]["kind"] == "usage"
+        assert record["error"]["message"].endswith("the output path must not be empty")
 
 
 def test_verify_exact_ok(capsys, table_file):
@@ -184,7 +188,11 @@ def test_verify_sampled_budget_bounds_a_huge_count(capsys, table_file):
     assert elapsed < 5
 
 
-def test_bad_seed_or_budget_is_precondition_record(capsys, table_file):
+def test_bad_seed_or_budget_is_precondition_record(capsys, table_file, monkeypatch):
+    def classify():
+        raise AssertionError("the report classified before it checked the seed")
+
+    monkeypatch.setattr(cli.qmatrix, "classify", classify)
     for argv in (
             ["verify", "--table", table_file, "--mode", "sampled=10", "--seed", "-1"],
             ["report", "--seed", "-1"],

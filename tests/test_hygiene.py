@@ -119,14 +119,15 @@ def test_readme_library_imports_resolve():
     assert set(names) <= set(package.__all__)
 
 
-# qfermat.__all__ when it was a list written out in __init__.py
+# qfermat.__all__ when it was a list written out in __init__.py, less the
+# PairingMatrix class that frobenius_pairing's exponent array replaced
 EXPORTED_BEFORE = [
     "__version__", "ToolkitError", "PreconditionError", "BudgetExceededError", "CycNum",
     "root_power", "MultiIndex", "CarryVector", "enumerate_index_set", "index_add", "weight",
     "weight_histogram", "QMatrix", "ClassificationReport", "is_admissible", "is_generic",
     "act_scale", "act_permute", "act_twist", "enumerate_generic", "enumerate_admissible",
     "orbit", "canonical_representative", "canonical_generic_representative",
-    "orbit_representatives", "classify", "StructureTable", "PairingMatrix",
+    "orbit_representatives", "classify", "StructureTable",
     "AssociativityReport", "CyCertificate", "build_table", "verify_associativity",
     "frobenius_pairing", "is_symmetric_pairing", "cy_certificate", "AlgElement",
     "normal_form", "multiply", "is_central", "graded_dimension", "FiberPoint",
@@ -159,9 +160,11 @@ def test_package_modules_declare_disjoint_literal_names():
         assert len(lists) == 1 and isinstance(lists[0], ast.List), module
         names = _declared_all(tree)
         assert names and all(isinstance(n, str) for n in names), module
+        # the package refuses underscore names without importing anything
+        assert not [n for n in names if n.startswith("_")], module
         for name in names:
             assert owner.setdefault(name, module) == module, (name, owner[name], module)
-    assert len(EXPORTED_BEFORE) == 54 and set(EXPORTED_BEFORE) - {"__version__"} <= set(owner)
+    assert len(EXPORTED_BEFORE) == 53 and set(EXPORTED_BEFORE) - {"__version__"} <= set(owner)
 
 
 def test_package_names_resolve_in_a_fresh_process():
@@ -176,9 +179,17 @@ def test_package_names_resolve_in_a_fresh_process():
 
 
 def test_importing_the_package_loads_no_submodule_and_no_numpy():
-    # nor does a probe for a dunder name the package does not define
+    # nor does a probe for an underscore name the package does not define
     assert _fresh("import qfermat; " + _LOADED) == []
-    assert _fresh("import qfermat; assert not hasattr(qfermat, '__wrapped__'); " + _LOADED) == []
+    for name in ("__wrapped__", "_repr_html_"):
+        probe = "import qfermat; assert not hasattr(qfermat, %r); " % name
+        assert _fresh(probe + _LOADED) == [], name
+
+
+def test_structure_does_not_load_the_cyclotomic_field():
+    # the table, its verification and its pairing are all arithmetic in Z/5
+    loaded = _fresh("import qfermat.structure; " + _LOADED)
+    assert "qfermat.structure" in loaded and "qfermat.cyclotomic" not in loaded
 
 
 def test_submodules_outside_the_eight_resolve_on_first_access():
