@@ -15,7 +15,6 @@ two views agree wherever both apply (root_power is a homomorphism from Z/5).
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -159,31 +158,6 @@ class CycNum:
         return CycNum((conj.coeffs[0] / r, conj.coeffs[1] / r,
                        conj.coeffs[2] / r, conj.coeffs[3] / r))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, exponent: int) -> "CycNum":
-        e = int(exponent)
-        if e < 0:
-            return self.inv() ** (-e)
-        result = ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- comparisons and hashing ----------------------------------------
 
     def __eq__(self, other):
@@ -207,11 +181,6 @@ class CycNum:
 
     def __repr__(self):
         return "CycNum(%r)" % (self.to_json(),)
-
-    def __complex__(self):
-        # numeric evaluation, debugging aid only
-        z = cmath.exp(2j * cmath.pi / 5)
-        return sum(float(c) * z ** i for i, c in enumerate(self.coeffs))
 
 
 ZERO = CycNum((0, 0, 0, 0))

@@ -192,10 +192,6 @@ class FiberAlgebra:
     def target(self, i: int, j: int) -> int:
         return int(self.sum_idx[i, j])
 
-    def coefficient(self, a, b) -> CycNum:
-        """Product coefficient by multi-index (accepts digit tuples too)."""
-        return self.scalar(indices.position(a), indices.position(b))
-
 
 class MonomialAlgebra:
     """A small algebra whose basis products each land on one basis line.

@@ -7,173 +7,39 @@ twist of the component O(-|a|).  Adding two indices digitwise mod 5 carries
 exactly at the positions where a_i + b_i >= 5, and the number of carries
 accounts for the weight drop |a| + |b| - |a+b|.
 
-Digits are always stored as canonical representatives in {0..4}; the weight
-function is defined on representatives and is deliberately not treated as
-linear.
-
-Alongside the element-level API there is a cached bundle of numpy lookup
-tables (sum index, carry flags, complements) shared read-only by the
-structure-constant and fiber modules; it is an implementation detail but
-exposed as tables() since several modules and the test suite rely on it.
+An index is its lex position 0..624; at the boundary it is a plain 5-tuple
+of digits, and position() translates one to the other.  Digits are the
+canonical representatives in {0..4}; the weight is defined on
+representatives and is deliberately not treated as linear.  The index
+monoid itself is a cached bundle of read-only numpy tables over the
+positions (digit rows, sum index, packed carry flags, complements,
+negatives), returned by tables() and shared by the structure-constant and
+fiber modules.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
-    "CarryVector",
-    "enumerate_index_set",
-    "index_add",
-    "weight",
-    "complement",
     "weight_histogram",
     "tables",
     "position",
 ]
 
 
-class MultiIndex:
-    """A 5-digit index with digit sum divisible by 5."""
-
-    __slots__ = ("digits",)
-
-    def __init__(self, digits: Iterable[int]):
-        ds = tuple(int(d) for d in digits)
-        if len(ds) != 5:
-            raise ValueError("a multi-index has exactly 5 digits, got %d" % len(ds))
-        if any(d < 0 or d > 4 for d in ds):
-            raise ValueError("digits must lie in {0..4}: %r" % (ds,))
-        if sum(ds) % 5 != 0:
-            raise ValueError("digit sum must be a multiple of 5: %r" % (ds,))
-        self.digits = ds
-
-    @property
-    def weight(self) -> int:
-        return sum(self.digits) // 5
-
-    def to_json(self):
-        return list(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        return self.digits[i]
-
-    def __len__(self):
-        return 5
-
-    def __eq__(self, other):
-        if isinstance(other, MultiIndex):
-            return self.digits == other.digits
-        if isinstance(other, tuple):
-            return self.digits == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        other_digits = other.digits if isinstance(other, MultiIndex) else tuple(other)
-        return self.digits < other_digits
-
-    def __hash__(self):
-        return hash(self.digits)
-
-    def __repr__(self):
-        return "MultiIndex(%r)" % (self.digits,)
-
-
-class CarryVector:
-    """Per-position carry flags of an index addition."""
-
-    __slots__ = ("flags",)
-
-    def __init__(self, flags: Iterable[bool]):
-        fs = tuple(bool(f) for f in flags)
-        if len(fs) != 5:
-            raise ValueError("a carry vector has exactly 5 flags")
-        self.flags = fs
-
-    @property
-    def count(self) -> int:
-        return sum(self.flags)
-
-    def positions(self) -> Tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.flags) if f)
-
-    def to_json(self):
-        return list(self.flags)
-
-    def __iter__(self):
-        return iter(self.flags)
-
-    def __getitem__(self, i):
-        return self.flags[i]
-
-    def __eq__(self, other):
-        if isinstance(other, CarryVector):
-            return self.flags == other.flags
-        if isinstance(other, tuple):
-            return self.flags == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.flags)
-
-    def __repr__(self):
-        return "CarryVector(%r)" % (self.flags,)
-
-
-@lru_cache(maxsize=1)
-def _index_list() -> Tuple[MultiIndex, ...]:
-    out = []
-    for head in itertools.product(range(5), repeat=4):
-        last = (-sum(head)) % 5
-        out.append(MultiIndex(head + (last,)))
-    # the completion digit never participates in a tie, so this is lex order
-    return tuple(out)
-
-
-def enumerate_index_set():
-    """All 625 indices in lexicographic order (fresh list each call)."""
-    return list(_index_list())
-
-
-def _coerce(a) -> MultiIndex:
-    return a if isinstance(a, MultiIndex) else MultiIndex(a)
-
-
-def weight(a) -> int:
-    """The weight |a| = (digit sum) / 5, an integer in {0..4}."""
-    return _coerce(a).weight
-
-
-def index_add(a, b) -> Tuple[MultiIndex, CarryVector]:
-    """Digitwise sum mod 5 with the carry pattern of the addition."""
-    a = _coerce(a)
-    b = _coerce(b)
-    sums = tuple(x + y for x, y in zip(a.digits, b.digits))
-    return (
-        MultiIndex(tuple(s % 5 for s in sums)),
-        CarryVector(tuple(s >= 5 for s in sums)),
-    )
-
-
-def complement(a) -> MultiIndex:
-    """The involution a -> (4,4,4,4,4) - a; weights satisfy |comp(a)| = 4 - |a|."""
-    a = _coerce(a)
-    return MultiIndex(tuple(4 - d for d in a.digits))
-
-
 def weight_histogram() -> Tuple[int, ...]:
-    """Counts of indices by weight 0..4."""
+    """Counts of indices by weight 0..4.
+
+    The completion digit lifts the sum s of the four leading digits to the
+    next multiple of 5, so the weight is ceil(s / 5)."""
     hist = [0] * 5
-    for m in _index_list():
-        hist[m.weight] += 1
+    for head in itertools.product(range(5), repeat=4):
+        hist[(sum(head) + 4) // 5] += 1
     return tuple(hist)
 
 
@@ -235,13 +101,13 @@ def tables() -> IndexTables:
 
 
 def position(a) -> int:
-    """Lex position of an index given as a position, a MultiIndex or digits."""
+    """Lex position of an index given as a position or as a sequence of 5 digits."""
     if isinstance(a, (int, np.integer)):
         pos = int(a)
         if not 0 <= pos < 625:
             raise ValueError("index position out of range: %d" % pos)
         return pos
-    digits = tuple(int(d) for d in (a.digits if isinstance(a, MultiIndex) else a))
+    digits = tuple(int(d) for d in a)
     try:
         return tables().index_of[digits]
     except KeyError:

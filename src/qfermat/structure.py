@@ -49,7 +49,6 @@ import numpy as np
 
 from . import indices
 from .errors import BudgetExceededError, PreconditionError
-from .indices import CarryVector, MultiIndex
 from .qmatrix import QMatrix, is_admissible
 
 __all__ = [
@@ -116,18 +115,14 @@ class StructureTable:
 
     # -- element access --------------------------------------------------
 
-    def coeff_exponent(self, a, b) -> int:
-        """E(a,b) in 0..4."""
-        return int(self.exp[indices.position(a), indices.position(b)])
-
-    def entry(self, a, b) -> Tuple[int, CarryVector, MultiIndex]:
-        """(coefficient exponent, carry vector, target index) at (a, b)."""
+    def entry(self, a, b) -> Tuple[int, Tuple[bool, ...], Tuple[int, ...]]:
+        """(E(a,b) in 0..4, the 5 carry flags as bools, the 5 digits of a+b
+        as ints) at the indices a and b, each a position or 5 digits."""
         i, j = indices.position(a), indices.position(b)
         shared = indices.tables()
-        target = MultiIndex(tuple(int(d) for d in shared.idx[shared.sum_idx[i, j]]))
         code = int(shared.carry_code[i, j])
-        carry = CarryVector(tuple(bool(code >> k & 1) for k in range(5)))
-        return int(self.exp[i, j]), carry, target
+        return (int(self.exp[i, j]), tuple(bool(code >> k & 1) for k in range(5)),
+                tuple(shared.idx[shared.sum_idx[i, j]].tolist()))
 
     def replace_exponent(self, a, b, new_exp: int) -> "StructureTable":
         """Copy of the table with one exponent overwritten (fault injection)."""

@@ -1,4 +1,3 @@
-import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +13,12 @@ from qfermat.cyclotomic import CycNum, ONE, ZERO, root_power
 def test_root_power_cycle():
     z = root_power(1)
     assert root_power(0) == ONE
-    assert z ** 5 == ONE
+    powers = [ONE]
+    for _ in range(4):
+        powers.append(powers[-1] * z)
+    assert powers[-1] * z == ONE
     for k in range(-10, 11):
-        assert root_power(k) == z ** (k % 5)
+        assert root_power(k) == powers[k % 5] == ONE.times_root(k)
 
 
 def test_root_power_homomorphism_exhaustive():
@@ -76,7 +78,6 @@ def test_inverse_roundtrip_random():
             continue
         seen_nonzero += 1
         assert x * x.inv() == ONE
-        assert (ONE / x) * x == ONE
     assert seen_nonzero > 30
 
 
@@ -159,11 +160,3 @@ def test_is_rational_flag():
     # z + z^4 is irrational but has real embedding; still not rational here
     assert not (root_power(1) + root_power(4)).is_rational()
 
-
-def test_complex_embedding_tracks_exact_value():
-    # the float embedding is a debugging aid; check it against cmath
-    z = complex(root_power(1))
-    assert abs(z - cmath.exp(2j * cmath.pi / 5)) < 1e-12
-    x = CycNum((1, 2, 0, -1))
-    expect = 1 + 2 * cmath.exp(2j * cmath.pi / 5) - cmath.exp(6j * cmath.pi / 5)
-    assert abs(complex(x) - expect) < 1e-12

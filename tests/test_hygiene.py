@@ -120,11 +120,12 @@ def test_readme_library_imports_resolve():
 
 
 # qfermat.__all__ when it was a list written out in __init__.py, less the
-# PairingMatrix class that frobenius_pairing's exponent array replaced
+# PairingMatrix class that frobenius_pairing's exponent array replaced, and
+# less MultiIndex, CarryVector, enumerate_index_set, index_add and weight,
+# which index positions and plain digit tuples replaced
 EXPORTED_BEFORE = [
     "__version__", "ToolkitError", "PreconditionError", "BudgetExceededError", "CycNum",
-    "root_power", "MultiIndex", "CarryVector", "enumerate_index_set", "index_add", "weight",
-    "weight_histogram", "QMatrix", "ClassificationReport", "is_admissible", "is_generic",
+    "root_power", "weight_histogram", "QMatrix", "ClassificationReport", "is_admissible", "is_generic",
     "act_scale", "act_permute", "act_twist", "enumerate_generic", "enumerate_admissible",
     "orbit", "canonical_representative", "canonical_generic_representative",
     "orbit_representatives", "classify", "StructureTable",
@@ -164,7 +165,7 @@ def test_package_modules_declare_disjoint_literal_names():
         assert not [n for n in names if n.startswith("_")], module
         for name in names:
             assert owner.setdefault(name, module) == module, (name, owner[name], module)
-    assert len(EXPORTED_BEFORE) == 53 and set(EXPORTED_BEFORE) - {"__version__"} <= set(owner)
+    assert len(EXPORTED_BEFORE) == 48 and set(EXPORTED_BEFORE) - {"__version__"} <= set(owner)
 
 
 def test_package_names_resolve_in_a_fresh_process():
@@ -235,7 +236,30 @@ def _float_dtypes(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_numpy_paths_are_integer_only(path):
     # no floating point where a theorem is decided; the builtin float of a
-    # debugging conversion or a CLI option is not a numpy dtype
+    # CLI option is not a numpy dtype
     found = _float_dtypes(_parse(path))
     assert not found, "%s uses numpy floating dtypes: %s" % (
+        path.name, ", ".join("%s (line %d)" % (text, line) for line, text in found))
+
+
+def _complex_evaluation(tree):
+    """(line, text) of each cmath import and each __complex__ a module defines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import " + alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "cmath"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cmath":
+            found.append((node.lineno, "from cmath import"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__complex__":
+            found.append((node.lineno, "def __complex__"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_complex_float_evaluation(path):
+    # Q(zeta_5) is computed on exact coordinates; no module evaluates a
+    # scalar as a complex float
+    found = _complex_evaluation(_parse(path))
+    assert not found, "%s evaluates in complex floats: %s" % (
         path.name, ", ".join("%s (line %d)" % (text, line) for line, text in found))

@@ -1,16 +1,18 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from qfermat import indices
-from qfermat.indices import (
-    CarryVector,
-    MultiIndex,
-    complement,
-    enumerate_index_set,
-    index_add,
-    weight,
-    weight_histogram,
-)
+from qfermat.indices import position, weight_histogram
+
+# The index set written out from its definition, on digit tuples and
+# independent of how IndexTables is built: product() yields the members in
+# lex order, so a member's place in INDEX_SET is its position.
+INDEX_SET = [a for a in itertools.product(range(5), repeat=5) if sum(a) % 5 == 0]
+TOP = (4, 4, 4, 4, 4)
+
 
 # ---------------------------------------------------------
 # enumeration of the index set
@@ -18,31 +20,28 @@ from qfermat.indices import (
 
 
 def test_index_set_size_and_membership():
-    idx = enumerate_index_set()
-    assert len(idx) == 625
-    for a in idx:
+    rows = [tuple(a) for a in indices.tables().idx.tolist()]
+    assert len(rows) == 625
+    for a in rows:
         assert len(a) == 5
         assert all(0 <= d <= 4 for d in a)
         assert sum(a) % 5 == 0
     # no duplicates
-    assert len({tuple(a) for a in idx}) == 625
+    assert len(set(rows)) == 625
 
 
 def test_index_set_is_lex_sorted():
-    idx = enumerate_index_set()
-    tuples = [tuple(a) for a in idx]
-    assert tuples == sorted(tuples)
-    assert tuples[0] == (0, 0, 0, 0, 0)
-    assert tuples[-1] == (4, 4, 4, 4, 4)
+    rows = [tuple(a) for a in indices.tables().idx.tolist()]
+    assert rows == sorted(rows) == INDEX_SET
+    assert rows[0] == (0, 0, 0, 0, 0)
+    assert rows[-1] == TOP
 
 
 def test_weight_histogram_frozen_values():
     assert weight_histogram() == (1, 121, 381, 121, 1)
     # recount from scratch
-    counts = [0] * 5
-    for a in enumerate_index_set():
-        counts[weight(a)] += 1
-    assert tuple(counts) == (1, 121, 381, 121, 1)
+    counts = Counter(sum(a) // 5 for a in INDEX_SET)
+    assert tuple(counts[w] for w in range(5)) == (1, 121, 381, 121, 1)
 
 
 # ---------------------------------------------------------
@@ -51,26 +50,25 @@ def test_weight_histogram_frozen_values():
 
 
 def test_add_with_zero_is_identity():
-    zero = (0, 0, 0, 0, 0)
-    for a in enumerate_index_set():
-        s, c = index_add(a, zero)
-        assert s == a
-        assert c.count == 0
+    # position 0 is the zero index
+    t = indices.tables()
+    assert position((0, 0, 0, 0, 0)) == 0
+    assert (t.sum_idx[:, 0] == np.arange(625)).all()
+    assert not t.carry_code[:, 0].any()
 
 
 def test_top_plus_top_carries_everywhere():
-    s, c = index_add((4, 4, 4, 4, 4), (4, 4, 4, 4, 4))
-    assert tuple(s) == (3, 3, 3, 3, 3)
-    assert c.count == 5
-    assert c.positions() == (0, 1, 2, 3, 4)
+    t = indices.tables()
+    top = position(TOP)
+    assert tuple(t.idx[t.sum_idx[top, top]]) == (3, 3, 3, 3, 3)
+    assert t.carry_code[top, top] == 0b11111
 
 
 def test_complement_pairs_never_carry():
-    for a in enumerate_index_set():
-        b = complement(a)
-        s, c = index_add(a, b)
-        assert tuple(s) == (4, 4, 4, 4, 4)
-        assert c.count == 0
+    t = indices.tables()
+    a = np.arange(625)
+    assert (t.sum_idx[a, t.comp] == position(TOP)).all()
+    assert not t.carry_code[a, t.comp].any()
 
 
 def test_carry_count_equals_weight_drop_all_pairs():
@@ -137,51 +135,34 @@ def test_negation_is_additive_inverse():
 
 
 # ---------------------------------------------------------
-# MultiIndex and CarryVector types
+# positions at the boundary
 # ---------------------------------------------------------
 
 
-def test_multiindex_validation():
-    with pytest.raises(Exception):
-        MultiIndex((1, 2, 3))
-    with pytest.raises(Exception):
-        MultiIndex((5, 0, 0, 0, 0))
-    with pytest.raises(Exception):
-        MultiIndex((1, 0, 0, 0, 0))  # digit sum not divisible by 5
-
-
-def test_multiindex_ordering_and_hash():
-    a = MultiIndex((0, 0, 1, 1, 3))
-    b = MultiIndex((0, 1, 0, 1, 3))
-    assert a < b
-    assert a == MultiIndex((0, 0, 1, 1, 3))
-    assert hash(a) == hash(MultiIndex((0, 0, 1, 1, 3)))
-    assert list(a) == [0, 0, 1, 1, 3]
-    assert a.to_json() == [0, 0, 1, 1, 3]
+def test_position_validation():
+    with pytest.raises(ValueError):
+        position((1, 2, 3))
+    with pytest.raises(ValueError):
+        position((5, 0, 0, 0, 0))  # a digit outside 0..4
+    with pytest.raises(ValueError):
+        position((1, 0, 0, 0, 0))  # digit sum not divisible by 5
+    for bad in (-1, 625, np.int64(625)):
+        with pytest.raises(ValueError):
+            position(bad)
+    assert position(np.int32(17)) == 17
+    assert position(np.array(INDEX_SET[311])) == 311
+    assert [position(list(a)) for a in INDEX_SET] == list(range(625))
 
 
 def test_weight_additivity_with_carries():
-    a = MultiIndex((4, 4, 2, 0, 0))
-    b = MultiIndex((2, 2, 4, 1, 1))
-    s, c = index_add(a, b)
-    assert weight(a) + weight(b) == weight(s) + c.count
-
-
-def test_carryvector_flags_and_positions():
-    c = CarryVector((True, False, False, True, False))
-    assert c.count == 2
-    assert c.positions() == (0, 3)
-    assert c[0] and not c[1]
-    assert c == CarryVector((1, 0, 0, 1, 0))
-    assert c.to_json() == [True, False, False, True, False]
-
-
-def test_enumerate_returns_fresh_list():
-    first = enumerate_index_set()
-    second = enumerate_index_set()
-    assert first == second
-    first.pop()
-    assert len(enumerate_index_set()) == 625
+    a, b = (4, 4, 2, 0, 0), (2, 2, 4, 1, 1)
+    s = tuple((x + y) % 5 for x, y in zip(a, b))
+    c = tuple(x + y >= 5 for x, y in zip(a, b))
+    assert sum(a) // 5 + sum(b) // 5 == sum(s) // 5 + sum(c)
+    t = indices.tables()
+    i, j = position(a), position(b)
+    assert t.sum_idx[i, j] == position(s)
+    assert t.carry_code[i, j] == sum(f << k for k, f in enumerate(c))
 
 
 def test_shared_tables_are_readonly():
@@ -193,22 +174,24 @@ def test_shared_tables_are_readonly():
 
 
 def test_tables_match_their_definition_on_all_pairs():
-    # every pair array against index_add, and comp/neg against complement and
-    # digitwise negation, read back through the digit rows
+    # every pair array against digit arithmetic on the rows of INDEX_SET, with
+    # sums mapped back to positions by a lookup filled from INDEX_SET's tuples
     t = indices.tables()
-    pos = t.index_of
-    elems = enumerate_index_set()
+    pos = {a: k for k, a in enumerate(INDEX_SET)}
+    place = 5 ** np.arange(4, -1, -1)
+    lookup = np.full(5 ** 5, -1)
+    lookup[np.array(list(pos)) @ place] = list(pos.values())
+    digits = np.array(INDEX_SET, dtype=np.uint8)
+    sums = digits[:, None, :] + digits[None, :, :]
+    flags = sums >= 5
+    assert (t.sum_idx == lookup[(sums % 5) @ place]).all()
     bits = np.arange(5, dtype=np.uint8)
-    for i, a in enumerate(elems):
-        sums = [index_add(a, b) for b in elems]
-        target = np.array([pos[s.digits] for s, _ in sums])
-        flags = np.array([c.flags for _, c in sums])
-        assert (t.sum_idx[i] == target).all(), i
-        assert ((t.carry_code[i, :, None] >> bits & 1) == flags).all(), i
-        assert (np.bitwise_count(t.carry_code[i]) == flags.sum(axis=1)).all(), i
-        assert t.comp[i] == pos[complement(a).digits]
-        assert t.neg[i] == pos[tuple((-d) % 5 for d in a)]
-        assert (t.idx[i] == a.digits).all() and t.weight[i] == weight(a)
+    assert ((t.carry_code[..., None] >> bits & 1) == flags).all()
+    assert (np.bitwise_count(t.carry_code) == flags.sum(axis=2)).all()
+    assert t.comp.tolist() == [pos[tuple(4 - d for d in a)] for a in INDEX_SET]
+    assert t.neg.tolist() == [pos[tuple(-d % 5 for d in a)] for a in INDEX_SET]
+    assert (t.idx == digits).all()
+    assert t.weight.tolist() == [sum(a) // 5 for a in INDEX_SET]
     expected = {"idx": (np.int64, (625, 5)), "weight": (np.int64, (625,)),
                 "sum_idx": (np.int32, (625, 625)), "carry_code": (np.uint8, (625, 625)),
                 "comp": (np.int32, (625,)), "neg": (np.int32, (625,))}

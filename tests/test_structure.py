@@ -6,7 +6,6 @@ import pytest
 from qfermat import indices, structure
 from qfermat.errors import BudgetExceededError, PreconditionError
 from qfermat.fiber import specialize
-from qfermat.indices import complement, index_add
 from qfermat.qmatrix import QMatrix, act_twist, is_admissible, sample_admissible
 from qfermat.structure import (
     build_table,
@@ -97,12 +96,14 @@ def test_build_table_rejects_non_admissible():
 
 
 def test_entry_accessor_types(canonical_table):
-    e, carry, target = canonical_table.entry((0, 0, 1, 1, 3), (0, 1, 4, 4, 1))
-    assert 0 <= int(e) <= 4
-    assert tuple(target) == tuple((a + b) % 5 for a, b in
-                                  zip((0, 0, 1, 1, 3), (0, 1, 4, 4, 1)))
-    s, cv = indices.index_add((0, 0, 1, 1, 3), (0, 1, 4, 4, 1))
-    assert carry == cv
+    a, b = (0, 0, 1, 1, 3), (0, 1, 4, 4, 1)
+    e, carry, target = canonical_table.entry(a, b)
+    assert type(e) is int and 0 <= e <= 4
+    assert e == int(canonical_table.exp[indices.position(a), indices.position(b)])
+    assert carry == tuple(x + y >= 5 for x, y in zip(a, b))
+    assert target == tuple((x + y) % 5 for x, y in zip(a, b))
+    assert all(type(f) is bool for f in carry) and all(type(d) is int for d in target)
+    assert canonical_table.entry(indices.position(a), list(b)) == (e, carry, target)
 
 
 def test_carry_count_is_weight_drop(canonical_table):
@@ -112,7 +113,7 @@ def test_carry_count_is_weight_drop(canonical_table):
         _, carry, target = canonical_table.entry(ia, ib)
         t = indices.tables()
         drop = int(t.weight[ia]) + int(t.weight[ib]) - int(t.weight[t.sum_idx[ia, ib]])
-        assert carry.count == drop
+        assert sum(carry) == drop
 
 
 # ---------------------------------------------------------
@@ -182,7 +183,7 @@ def test_parse_mode_accepts_both_spellings():
 
 def test_corrupted_exponent_detected_by_every_mode(canonical_table):
     a, b = (0, 0, 1, 1, 3), (0, 1, 4, 4, 1)
-    old = int(canonical_table.coeff_exponent(a, b))
+    old = canonical_table.entry(a, b)[0]
     bad = canonical_table.replace_exponent(a, b, (old + 2) % 5)
 
     exact = verify_associativity(bad)
@@ -216,7 +217,7 @@ def test_exact_bilinear_is_stricter_than_associativity(canonical_matrix, canonic
 
 def test_recorded_violations_carry_both_cocycle_sides(canonical_table):
     a, b = (0, 0, 1, 1, 3), (0, 1, 4, 4, 1)
-    old = int(canonical_table.coeff_exponent(a, b))
+    old = canonical_table.entry(a, b)[0]
     bad = canonical_table.replace_exponent(a, b, (old + 2) % 5)
     exp = bad.exp.astype(np.int64)
     s = indices.tables().sum_idx
@@ -418,7 +419,7 @@ def test_exact_bilinear_records_match_definitions(canonical_matrix, canonical_ta
         return sum(n[i][j] * a[i] * b[j] for i in range(5) for j in range(i)) % 5
 
     def plus(a, b):
-        return list(index_add(a, b)[0])
+        return [(x + y) % 5 for x, y in zip(a, b)]
 
     one, many = _corrupted_pair(canonical_table, (37, 412))
     for bad in (one, many):
@@ -460,16 +461,17 @@ def test_pairing_perfect_and_symmetric(canonical_table):
 def test_pairing_pairs_with_complement():
     # a + comp(a) is the top index with no carry, and no other b reaches it
     rng = np.random.default_rng(3)
-    idx = indices.enumerate_index_set()
     t = indices.tables()
-    for k in rng.integers(0, 625, size=40):
-        a = idx[int(k)]
-        assert complement(a) == idx[int(t.comp[int(k)])]
-        target, carry = index_add(a, complement(a))
-        assert tuple(target) == (4,) * 5 and carry.count == 0
-        for b in (idx[int(j)] for j in rng.integers(0, 625, size=5)):
-            if b != complement(a):
-                assert tuple(index_add(a, b)[0]) != (4,) * 5
+    idx = [tuple(a) for a in t.idx.tolist()]
+    top = indices.position((4,) * 5)
+    for k in (int(k) for k in rng.integers(0, 625, size=40)):
+        a = idx[k]
+        assert tuple(4 - d for d in a) == idx[int(t.comp[k])]
+        assert t.sum_idx[k, t.comp[k]] == top and t.carry_code[k, t.comp[k]] == 0
+        for j in (int(j) for j in rng.integers(0, 625, size=5)):
+            if j != t.comp[k]:
+                assert tuple((x + y) % 5 for x, y in zip(a, idx[j])) != (4,) * 5
+                assert t.sum_idx[k, j] != top
 
 
 def test_pairing_entries_are_pure_roots(canonical_table):
@@ -477,8 +479,8 @@ def test_pairing_entries_are_pure_roots(canonical_table):
     p = frobenius_pairing(canonical_table)
     assert p.shape == (625,) and np.issubdtype(p.dtype, np.integer)
     assert ((0 <= p) & (p <= 4)).all()
-    for k, a in enumerate(indices.enumerate_index_set()):
-        assert p[k] == canonical_table.coeff_exponent(a, complement(a))
+    for k, a in enumerate(indices.tables().idx.tolist()):
+        assert p[k] == canonical_table.entry(a, [4 - d for d in a])[0]
 
 
 def test_pairing_on_zero_matrix_is_all_ones(zero_table):
@@ -555,7 +557,7 @@ def test_certificate_on_canonical(canonical_matrix):
 
 def test_certificate_flags_associativity_fault(canonical_table):
     a, b = (0, 0, 1, 1, 3), (0, 1, 4, 4, 1)
-    old = int(canonical_table.coeff_exponent(a, b))
+    old = canonical_table.entry(a, b)[0]
     bad = canonical_table.replace_exponent(a, b, (old + 1) % 5)
     cert = cy_certificate(bad)
     assert not cert.passed
