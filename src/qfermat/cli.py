@@ -82,7 +82,7 @@ def _load(path: str, build, what: str):
 
 
 def _load_matrix(path: str) -> qmatrix.QMatrix:
-    return _load(path, qmatrix.QMatrix.from_json, "5x5 integer matrix")
+    return _load(path, qmatrix.QMatrix, "5x5 integer matrix")
 
 
 def _load_table(path: str) -> structure.StructureTable:
@@ -184,11 +184,10 @@ def _cmd_hilbert(args: argparse.Namespace):
         payload["value"] = str(poly(args.at))
     if args.cohomology:
         window = [args.at] if args.at is not None else list(range(-5, 6))
-        rows = []
-        for n in window:
-            h = cohomology.sheaf_cohomology(twists, n)
-            rows.append({"n": n, "h": list(h), "euler": h[0] - h[1] + h[2] - h[3]})
-        payload["cohomology"] = rows
+        payload["cohomology"] = [
+            {"n": n, "h": list(cohomology.sheaf_cohomology(twists, n)),
+             "euler": cohomology.euler_characteristic(twists, n)}
+            for n in window]
     return payload, 0, []
 
 
@@ -227,7 +226,7 @@ def _cmd_report(args: argparse.Namespace):
         relation_sum = relation_sum + el
     centrality = {
         "fifth_power_central": [rewrite.is_central(el, base) for el in fifth_powers],
-        "defining_relation_vanishes": relation_sum.is_zero(),
+        "defining_relation_vanishes": not relation_sum,
         "generator_central": rewrite.is_central(rewrite.AlgElement.generator(0), base),
     }
 

@@ -11,7 +11,11 @@ cohomology of O(d) on P^3 comes from the closed forms
     h^0(O(d)) = C(d+3, 3)        h^3(O(d)) = C(-d-1, 3)      h^1 = h^2 = 0
 
 with C(n, 3) = 0 for n < 3.  The Euler characteristic is the single cubic
-polynomial (d+1)(d+2)(d+3)/6, valid at every integer d.
+polynomial (d+1)(d+2)(d+3)/6, valid at every integer d: it is C(d+3, 3) on
+the right, 0 at d = -1, -2, -3, and -C(-d-1, 3) on the left.  With c = d + 2
+it is ((n+c)^3 - (n+c))/6 at twist n + d, and hilbert_polynomial sums its
+coefficients from n^0 up, (c^3 - c, 3c^2 - 1, 3c, 1)/6, times the
+multiplicities.
 """
 
 from __future__ import annotations
@@ -82,19 +86,6 @@ class RatPolynomial:
     def __neg__(self) -> "RatPolynomial":
         return RatPolynomial([-c for c in self.coeffs])
 
-    def __mul__(self, other) -> "RatPolynomial":
-        if isinstance(other, RatPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return RatPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RatPolynomial(out)
-        return RatPolynomial([c * _as_fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, RatPolynomial):
             return self.coeffs == other.coeffs
@@ -108,10 +99,6 @@ class RatPolynomial:
 
     def to_json(self) -> List[str]:
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data) -> "RatPolynomial":
-        return cls([Fraction(c) for c in data])
 
     def __repr__(self):
         if not self.coeffs:
@@ -152,10 +139,6 @@ class TwistMultiset:
             raise PreconditionError("empty twist multiset")
         return cls(pairs)
 
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.pairs)
-
     def to_json(self) -> List[List[int]]:
         return [[d, m] for d, m in self.pairs]
 
@@ -183,25 +166,14 @@ def algebra_twist_multiset() -> TwistMultiset:
     return TwistMultiset((-w, m) for w, m in enumerate(hist))
 
 
-def _chi_twist(d: int) -> RatPolynomial:
-    """chi(O(n + d)) on P^3 as an exact polynomial in n.
-
-    The binomial (n+d+1)(n+d+2)(n+d+3)/6 interpolates h^0 - h^1 + h^2 - h^3
-    at every integer: it is C(n+d+3, 3) on the right, vanishes on the four
-    middle integers, and by duality equals -C(-(n+d)-1, 3) on the left."""
-    shift = RatPolynomial([d, 1])
-    prod = RatPolynomial([1])
-    for k in (1, 2, 3):
-        prod = prod * (shift + RatPolynomial([k]))
-    return prod * Fraction(1, 6)
-
-
 def hilbert_polynomial(twists: TwistMultiset) -> RatPolynomial:
     """Sum of chi(O(n + d)) over the multiset, as an exact polynomial in n."""
-    total = RatPolynomial()
+    sums = [0, 0, 0, 0]
     for d, mult in twists:
-        total = total + _chi_twist(d) * mult
-    return total
+        c = d + 2
+        for i, v in enumerate((c ** 3 - c, 3 * c * c - 1, 3 * c, 1)):
+            sums[i] += mult * v
+    return RatPolynomial([Fraction(v, 6) for v in sums])
 
 
 def _sections(d: int) -> int:

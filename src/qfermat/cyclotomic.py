@@ -51,12 +51,6 @@ class CycNum:
             raise ValueError("CycNum takes exactly 4 coordinates, got %d" % len(cs))
         self.coeffs = cs
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_json(cls, data) -> "CycNum":
-        return cls(data)
-
     def to_json(self):
         """Four exact fraction strings, e.g. ["1/2", "0", "-1", "0"]."""
         return [str(c) for c in self.coeffs]
@@ -85,12 +79,6 @@ class CycNum:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         return CycNum((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         a = self.coeffs

@@ -20,6 +20,7 @@ fiber modules.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import lru_cache
 from typing import Tuple
 
@@ -100,14 +101,22 @@ def tables() -> IndexTables:
     return IndexTables()
 
 
+def _integer(x) -> int:
+    """x as an int if it is a Python or numpy integer; a bool, a float or a
+    str is a ValueError, not a truncated value."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError("index positions and digits must be integers, got %r" % (x,))
+    return int(x)
+
+
 def position(a) -> int:
     """Lex position of an index given as a position or as a sequence of 5 digits."""
-    if isinstance(a, (int, np.integer)):
-        pos = int(a)
+    if isinstance(a, str) or not isinstance(a, Iterable):
+        pos = _integer(a)
         if not 0 <= pos < 625:
             raise ValueError("index position out of range: %d" % pos)
         return pos
-    digits = tuple(int(d) for d in a)
+    digits = tuple(map(_integer, a))
     try:
         return tables().index_of[digits]
     except KeyError:

@@ -62,13 +62,6 @@ __all__ = [
 
 ALL_ACTIONS = ("scale", "permute", "twist")
 
-# the 10 independent strictly-upper entries, row-major
-_PAIRS: Tuple[Tuple[int, int], ...] = (
-    (0, 1), (0, 2), (0, 3), (0, 4),
-    (1, 2), (1, 3), (1, 4),
-    (2, 3), (2, 4), (3, 4),
-)
-
 _TRIPLES: Tuple[Tuple[int, int, int], ...] = tuple(
     (i, j, k)
     for i in range(5) for j in range(5) for k in range(5)
@@ -96,22 +89,6 @@ class QMatrix:
             raise ValueError("a quantum parameter matrix is 5x5")
         self.entries = es
 
-    @classmethod
-    def zero(cls) -> "QMatrix":
-        return cls([[0] * 5] * 5)
-
-    @classmethod
-    def from_upper(cls, upper: Sequence[int]) -> "QMatrix":
-        """Skew matrix from the 10 strictly-upper entries, row-major order."""
-        u = [_residue(x) for x in upper]
-        if len(u) != 10:
-            raise ValueError("expected 10 upper-triangular entries")
-        rows = [[0] * 5 for _ in range(5)]
-        for (i, j), v in zip(_PAIRS, u):
-            rows[i][j] = v
-            rows[j][i] = (-v) % 5
-        return cls(rows)
-
     def row_sums(self) -> Tuple[int, ...]:
         return tuple(sum(row) % 5 for row in self.entries)
 
@@ -120,12 +97,6 @@ class QMatrix:
 
     def to_json(self):
         return [list(row) for row in self.entries]
-
-    @classmethod
-    def from_json(cls, data) -> "QMatrix":
-        """Read a 5x5 list of JSON integers; a float or a bool entry is a
-        ValueError, as in the constructor."""
-        return cls(data)
 
     def __eq__(self, other):
         if isinstance(other, QMatrix):

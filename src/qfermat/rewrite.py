@@ -28,6 +28,7 @@ leaves the seeded stream unchanged.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple
@@ -48,8 +49,19 @@ __all__ = [
 Monomial = Tuple[int, int, int, int, int]
 
 
+def _integer(x, what: str) -> int:
+    """x as an int if it is a Python or numpy integer; a bool, a float or a
+    str is a ValueError, not a truncated value."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("%s must be an integer, got %r" % (what, x))
+
+
 def _check_monomial(e) -> Monomial:
-    m = tuple(int(x) for x in e)
+    m = tuple(_integer(x, "a monomial exponent") for x in e)
     if len(m) != 5 or any(x < 0 for x in m):
         raise ValueError("monomial exponents must be 5 nonnegative integers: %r" % (e,))
     if m[0] > 4:
@@ -83,18 +95,6 @@ class AlgElement:
         return el
 
     @classmethod
-    def zero(cls) -> "AlgElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "AlgElement":
-        return cls({(0, 0, 0, 0, 0): ONE})
-
-    @classmethod
-    def monomial(cls, e, coeff=ONE) -> "AlgElement":
-        return cls({tuple(e): coeff})
-
-    @classmethod
     def generator(cls, i: int) -> "AlgElement":
         if not 0 <= i <= 4:
             raise ValueError("generator index must lie in 0..4")
@@ -102,42 +102,15 @@ class AlgElement:
         e[i] = 1
         return cls({tuple(e): ONE})
 
-    def coefficient(self, e) -> CycNum:
-        return self.terms.get(tuple(int(x) for x in e), ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    def degree(self) -> Optional[int]:
-        """Common total degree, None for the zero element, error if mixed."""
-        degrees = {sum(e) for e in self.terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError("element is not homogeneous: degrees %s" % sorted(degrees))
-        return degrees.pop()
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, ZERO) + c
         return AlgElement(out)
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) - c
-        return AlgElement(out)
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement({e: -c for e, c in self.terms.items()})
-
-    def scale(self, scalar) -> "AlgElement":
-        return AlgElement({e: c * scalar for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, AlgElement):
@@ -172,10 +145,15 @@ _admissible = lru_cache(maxsize=16)(is_admissible)  # keyed by QMatrix.entries
 
 
 def _check_word(w: Sequence[int]) -> Tuple[int, ...]:
-    word = tuple(map(int, w))
-    if word and (min(word) < 0 or max(word) > 4):
-        raise ValueError("word letters must be generator indices in 0..4: %r" % (w,))
-    return word
+    # one pass: normal_form checks every word it reduces
+    word = []
+    for x in w:
+        if type(x) is not int:
+            x = _integer(x, "a word letter")
+        if not 0 <= x <= 4:
+            raise ValueError("word letters must be generator indices in 0..4: %r" % (w,))
+        word.append(x)
+    return tuple(word)
 
 
 @lru_cache(maxsize=1024)
@@ -302,7 +280,7 @@ def graded_dimension(n: int) -> int:
     The count does not depend on the parameter matrix: the q-parameters
     deform the product, not the basis.
     """
-    n = int(n)
+    n = _integer(n, "a degree")
     if n < 0:
         raise PreconditionError("degree must be nonnegative")
     return sum(comb(n - e0 + 3, 3) for e0 in range(min(4, n) + 1))

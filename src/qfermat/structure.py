@@ -146,7 +146,7 @@ class StructureTable:
         if not isinstance(data, dict) or data.get("format") != 2:
             raise PreconditionError(
                 "not a format-2 table file (rebuild it with build-table)")
-        matrix = QMatrix.from_json(data["source_matrix"])
+        matrix = QMatrix(data["source_matrix"])
         if not is_admissible(matrix):
             raise PreconditionError("table source matrix is not admissible")
         rows = data["exp"]

@@ -45,4 +45,4 @@ def canonical_table(canonical_matrix):
 
 @pytest.fixture(scope="session")
 def zero_table():
-    return structure.build_table(qmatrix.QMatrix.zero())
+    return structure.build_table(qmatrix.QMatrix([[0] * 5] * 5))

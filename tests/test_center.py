@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qfermat import cohomology, indices, qmatrix, rewrite, structure
+from qfermat.cyclotomic import ONE
 
 
 def _center(N):
@@ -61,12 +62,12 @@ def test_center_is_a_calabi_yau_subgroup_for_every_generic_matrix(generic):
 # with the degree-1 generators t_i, as rewrite.is_central tests, is
 # stronger: of the 60 generic matrices at every 50th place, 46 let only 5 of
 # the 25 monomials of Z pass it.
-GROUP_GENERATORS = [rewrite.AlgElement.monomial(g) for g in (
+GROUP_GENERATORS = [rewrite.AlgElement({g: ONE}) for g in (
     (1, 4, 0, 0, 0), (1, 0, 4, 0, 0), (1, 0, 0, 4, 0), (1, 0, 0, 0, 4))]
 
 
 def test_center_agrees_with_rewriting_commutators(generic):
-    monomials = [rewrite.AlgElement.monomial(a) for a in indices.tables().idx.tolist()]
+    monomials = [rewrite.AlgElement({tuple(a): ONE}) for a in indices.tables().idx.tolist()]
     for N in generic[::100]:
         commuting = [
             k for k, x in enumerate(monomials)

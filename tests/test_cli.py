@@ -10,7 +10,6 @@ import pytest
 
 from qfermat import cli, indices
 from qfermat.cli import main
-from qfermat.qmatrix import QMatrix
 from test_structure import _drop_last_row, _format_1, _set_digit, _short_row
 
 FULL_TWISTS = "0:1,-1:121,-2:381,-3:121,-4:1"
@@ -376,7 +375,7 @@ def test_normal_form_on_a_non_admissible_matrix_is_a_precondition_record(capsys,
     # PreconditionError is a ValueError, so it must pass the handler's
     # ValueError-to-usage branch unchanged
     path = tmp_path / "skew-only.json"
-    path.write_text(json.dumps(QMatrix.from_upper([1] + [0] * 9).to_json()))
+    path.write_text(json.dumps([[0, 1, 0, 0, 0], [4, 0, 0, 0, 0]] + [[0] * 5] * 3))
     code, record = _json_run(capsys, ["normal-form", "--matrix", str(path), "--word", "2,1,0"])
     assert code == 3
     assert record["error"]["kind"] == "precondition"
@@ -424,8 +423,9 @@ def test_report_smoke(capsys):
 
 # SHA-256 of stdout recorded before genericity became one array test and
 # rewriting coefficients took the root-of-unity fast paths, and before
-# normal_form counted inversions by letter counts; a run of the same code
-# twice cannot catch a byte that such a change moves.  MATRIX stands for the
+# normal_form counted inversions by letter counts, and before the Hilbert
+# polynomial summed its closed form; a run of the same code twice cannot
+# catch a byte that such a change moves.  MATRIX stands for the
 # canonical matrix file; the word has 26 t_0 letters, so it expands t_0^25.
 LONG_WORD = ",".join(map(str, [4, 0, 3, 0, 2, 0, 1, 0] * 6 + [0, 0, 2, 4, 3, 1]))
 PINNED_STDOUT = {
@@ -435,6 +435,10 @@ PINNED_STDOUT = {
         "55a91e185b53d9c0072513cae888e4618ec38f07bd2527d9187c2f0a2bda36d7",
     ("normal-form", "--matrix", "MATRIX", "--word", LONG_WORD):
         "f5e925e7a1ec75baee098a59fcc4492a211054207c55a8a2dba0b45709a756af",
+    ("hilbert", "--twists", "0:1,-1:121,-2:381,-3:121,-4:1", "--at", "1", "--cohomology"):
+        "6aa1d5526acfe954608d10a0f530ef7b96c8c5e4fd61d8b0d19f382010389880",
+    ("hilbert", "--twists", "3:2,0:1,-1:121,-2:381,-3:121,-4:1,-7:5", "--cohomology"):
+        "55ca5049198cf1cae8031f3378db14ef91058d7f4cdfc811c5208e953c714b27",
 }
 
 
@@ -530,7 +534,7 @@ def _bare_list(data):
 
 
 def _non_admissible_source(data):
-    data["source_matrix"] = QMatrix.from_upper([1] + [0] * 9).to_json()
+    data["source_matrix"] = [[0, 1, 0, 0, 0], [4, 0, 0, 0, 0]] + [[0] * 5] * 3
 
 
 MALFORMED_TABLES = [_drop_last_row, _short_row, _set_digit("x"), _set_digit("5"),

@@ -1,6 +1,6 @@
-"""Derandomized property tests: CycNum against sympy, and the CLI's failure
-contract under junk command lines and input files; and seeded words for the
-term cap of normal-form.
+"""Derandomized property tests: CycNum and the Hilbert polynomial against
+sympy, and the CLI's failure contract under junk command lines and input
+files; and seeded words for the term cap of normal-form.
 
 derandomize=True fixes the examples, so these tests are as deterministic as
 the rest of the suite; database=None, and the temporary home directory that
@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qfermat.cli import main
+from qfermat.cohomology import TwistMultiset, euler_characteristic, hilbert_polynomial
 from qfermat.cyclotomic import ONE, CycNum, root_power
 from qfermat.qmatrix import QMatrix
 from qfermat.rewrite import normal_form
@@ -68,6 +69,30 @@ def test_times_root_and_galois(x, y, k):
         assert (x * y).galois(g) == x.galois(g) * y.galois(g)
         assert ONE.galois(g) == ONE
         assert x.galois(g) == _reduce(_poly(x).compose(sympy.Poly(Z ** g, Z)))
+
+
+# ---------------------------------------------------------
+# the Hilbert polynomial: chi(O(n + d)) = (n+d+1)(n+d+2)(n+d+3)/6 summed
+# over the multiset, and the alternating sum of cohomology at every n
+# ---------------------------------------------------------
+
+NVAR = sympy.Symbol("n")
+twist_lists = st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 1000)), max_size=8)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(twist_lists)
+def test_hilbert_polynomial_is_the_summed_closed_form(pairs):
+    twists = TwistMultiset(pairs)
+    p = hilbert_polynomial(twists)
+    expr = sympy.expand(sum((m * (NVAR + d + 1) * (NVAR + d + 2) * (NVAR + d + 3)
+                             for d, m in pairs), sympy.Integer(0)) / 6)
+    expected = [expr.coeff(NVAR, k) for k in range(4)]
+    while expected and expected[-1] == 0:
+        expected.pop()
+    assert p.coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in expected)
+    for n in range(-40, 41):
+        assert euler_characteristic(twists, n) == p(n)
 
 
 # ---------------------------------------------------------

@@ -46,7 +46,7 @@ def test_exponent_matches_direct_formula(canonical_matrix, canonical_table):
     # gather, on the canonical table, a skew matrix that is not admissible,
     # and random integer matrices with negative entries and entries above 2^63
     assert (canonical_table.exp == _definition(canonical_matrix.entries)).all()
-    skew = QMatrix.from_upper([1] + [0] * 9)
+    skew = QMatrix([[0, 1, 0, 0, 0], [4, 0, 0, 0, 0]] + [[0] * 5] * 3)
     assert not is_admissible(skew)
     rng = np.random.default_rng(314)
     randoms = [[[int(x) + int(k) * 2 ** 64 for x, k in zip(xs, ks)]
