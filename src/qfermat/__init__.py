@@ -13,7 +13,7 @@ with no floating-point arithmetic anywhere a theorem is decided:
   - structure:   structure constants of the 625-component sheaf algebra,
                  associativity certificates, the Frobenius pairing
   - rewrite:     normal forms and centrality in the generator presentation
-  - fiber:       center, radical, and semisimplicity of fiber algebras
+  - fiber:       center and radical of fiber algebras
   - cohomology:  Hilbert polynomials and twisted-sheaf cohomology over P^3
   - cli:         the `qfermat` command-line entry point
 

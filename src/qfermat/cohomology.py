@@ -21,11 +21,12 @@ multiplicities.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import indices
-from .errors import PreconditionError
+from .errors import PreconditionError, as_integer
 
 __all__ = [
     "RatPolynomial",
@@ -59,32 +60,12 @@ class RatPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
-
     def __call__(self, n) -> Fraction:
         x = _as_fraction(n)
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
-
-    def __add__(self, other: "RatPolynomial") -> "RatPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPolynomial(out)
-
-    def __sub__(self, other: "RatPolynomial") -> "RatPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "RatPolynomial":
-        return RatPolynomial([-c for c in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, RatPolynomial):
@@ -114,8 +95,8 @@ class TwistMultiset:
     def __init__(self, pairs: Iterable[Tuple[int, int]]):
         merged: Dict[int, int] = {}
         for d, mult in pairs:
-            d = int(d)
-            mult = int(mult)
+            d = as_integer(d, "twists and multiplicities")
+            mult = as_integer(mult, "twists and multiplicities")
             if mult <= 0:
                 raise PreconditionError("twist multiplicities must be positive")
             merged[d] = merged.get(d, 0) + mult
@@ -224,9 +205,9 @@ def dt_polynomial_pair(h: RatPolynomial) -> Tuple[RatPolynomial, RatPolynomial]:
     invariants of rank-one sheaves are indexed by this data; none is
     computed here.  Inputs of degree 2 or higher are rejected: no such
     quotient has them."""
-    if h.degree > 1:
+    if len(h.coeffs) > 2:
         raise PreconditionError(
             "deviation polynomial must have degree at most 1, got degree %d"
-            % (h.degree,))
+            % (len(h.coeffs) - 1,))
     p0 = hilbert_polynomial(algebra_twist_multiset())
-    return (h, p0 - h)
+    return (h, RatPolynomial([a - b for a, b in zip_longest(p0.coeffs, h.coeffs, fillvalue=0)]))

@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .errors import as_integer
+
 __all__ = [
     "CycNum",
     "root_power",
@@ -113,7 +115,8 @@ class CycNum:
         Rotates the coordinates on 1, z, ..., z^4 by k places, then folds the
         z^4 coordinate back through z^4 = -(1 + z + z^2 + z^3).
         """
-        k = int(k) % 5
+        # the rewriting loop calls this with plain ints thousands of times
+        k = (k if type(k) is int else as_integer(k, "root exponents")) % 5
         if not k:
             return self
         c = self.coeffs + (0,)
@@ -125,7 +128,7 @@ class CycNum:
 
     def galois(self, k: int) -> "CycNum":
         """The field automorphism determined by z -> z^k, k in 1..4."""
-        k = int(k) % 5
+        k = as_integer(k, "Galois exponents") % 5
         if k == 0:
             raise ValueError("z -> z^0 is not a field automorphism")
         acc = [Fraction(0)] * 5
@@ -185,4 +188,4 @@ _ROOTS = (
 
 def root_power(k) -> CycNum:
     """zeta_5^k in canonical form; root_power(0) is the identity."""
-    return _ROOTS[int(k) % 5]
+    return _ROOTS[as_integer(k, "root exponents") % 5]

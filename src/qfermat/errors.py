@@ -1,6 +1,9 @@
-"""Shared exception types for the toolkit; `kind` names the failure kind."""
+"""Shared exception types for the toolkit, `kind` naming the failure kind,
+and the one rule by which every entry point reads an integer argument."""
 
-__all__ = ["ToolkitError", "PreconditionError", "BudgetExceededError"]
+import operator
+
+__all__ = ["ToolkitError", "PreconditionError", "BudgetExceededError", "as_integer"]
 
 
 class ToolkitError(Exception):
@@ -23,3 +26,20 @@ class BudgetExceededError(ToolkitError, RuntimeError):
     """A bounded-runtime computation ran past its allotted budget."""
 
     kind = "budget"
+
+
+def as_integer(x, what: str) -> int:
+    """x as an int if it is a Python or numpy integer; a bool, a float or a
+    str is a ValueError naming `what` (a plural noun), not a truncated value.
+
+    operator.index reads any type with __index__, numpy's integers among
+    them, and refuses floats, strs and numpy's bool; Python's bool is an int,
+    so it is refused here by name."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("%s must be integers, got %r" % (what, x))

@@ -7,9 +7,10 @@ e_a times e_b is
 
     zeta^{E(a,b)} * (product of x_i(p) over carry positions) * e_{a+b}.
 
-This module analyzes those algebras exactly: center dimension, Jacobson
+This module analyzes those algebras exactly: center dimension and Jacobson
 radical (via the characteristic-zero trace-form criterion: the radical is
-the kernel of T(u, v) = trace(L_u L_v)), and semisimplicity.
+the kernel of T(u, v) = trace(L_u L_v)), and whether that radical is an
+ideal.
 
 Two structural facts keep everything tractable.  First, commuting with all
 basis vectors constrains each coordinate of a central element separately
@@ -23,10 +24,6 @@ coordinates are integers with |x_i| <= 32 (_INT_COORD_LIMIT) the diagonal
 sums are accumulated in exact int64 vectors over the five root-of-unity
 exponents, and every other point takes the one paired entry T(e_a, e_{-a})
 per row from the generic gram_entry.
-
-The same center/radical machinery runs over any small monomial algebra
-(basis products land on a single basis line); MonomialAlgebra covers test
-fixtures like the two-dimensional algebra with a square-zero element.
 """
 
 from __future__ import annotations
@@ -39,19 +36,17 @@ import numpy as np
 from . import indices
 from .cyclotomic import CycNum, ONE, ZERO, root_power
 from .errors import PreconditionError, ToolkitError
-from .linalg import ExactRREF, kernel_basis
+from .linalg import ExactRREF
 from .structure import StructureTable, verify_associativity
 
 __all__ = [
     "FiberPoint",
     "FiberAlgebra",
-    "MonomialAlgebra",
     "specialize",
     "center_dim",
     "radical_dim",
     "radical_basis",
     "radical_is_ideal",
-    "is_semisimple",
 ]
 
 # int64 stays exact through products of two subset monomials summed over 625
@@ -105,9 +100,6 @@ class FiberPoint:
 
     def support(self) -> Tuple[bool, ...]:
         return tuple(bool(c) for c in self.coords)
-
-    def full_support(self) -> bool:
-        return all(self.support())
 
     def integer_coords(self) -> Optional[Tuple[int, ...]]:
         """The coordinates as plain ints when they are small integers."""
@@ -193,37 +185,6 @@ class FiberAlgebra:
         return int(self.sum_idx[i, j])
 
 
-class MonomialAlgebra:
-    """A small algebra whose basis products each land on one basis line.
-
-    targets[i][j] is the basis position of b_i b_j and scalars[i][j] the
-    coefficient (anything CycNum-coercible; zero kills the product).
-    """
-
-    def __init__(self, targets: Sequence[Sequence[int]], scalars: Sequence[Sequence]):
-        dim = len(targets)
-        if any(len(r) != dim for r in targets) or len(scalars) != dim \
-                or any(len(r) != dim for r in scalars):
-            raise ValueError("targets and scalars must be dim x dim")
-        self.dim = dim
-        self._targets = [[int(t) for t in row] for row in targets]
-        self._scalars = [[_as_cyc(s) for s in row] for row in scalars]
-
-    def scalar(self, i: int, j: int) -> CycNum:
-        return self._scalars[i][j]
-
-    def target(self, i: int, j: int) -> int:
-        return self._targets[i][j]
-
-    @classmethod
-    def nilpotent_pair(cls) -> "MonomialAlgebra":
-        """Basis (1, r) with r*r = 0: the canonical nonsemisimple fixture."""
-        return cls(targets=[[0, 1], [1, 0]], scalars=[[1, 1], [1, 0]])
-
-
-Algebra = Union[FiberAlgebra, MonomialAlgebra]
-
-
 def specialize(table: StructureTable, point: Union[FiberPoint, Sequence]) -> FiberAlgebra:
     """Evaluate the carry monomials at a point of the hyperplane.
 
@@ -250,7 +211,7 @@ def _center_dim_graded(F: FiberAlgebra) -> int:
     return int(central.sum())
 
 
-def _commutant_rank(alg: Algebra) -> int:
+def _commutant_rank(alg) -> int:
     """Rank of the full commutant constraint system, by exact elimination.
 
     Unknowns z_a; for every basis b and every target component t, the
@@ -277,14 +238,17 @@ def _commutant_rank(alg: Algebra) -> int:
     return rref.rank
 
 
-def center_dim(F: Algebra, method: Optional[str] = None) -> int:
+def center_dim(F, method: Optional[str] = None) -> int:
     """Dimension of the center over Q(zeta_5).
 
     method "graded" uses the row scan available on fiber algebras (carry
     monomials are symmetric in a and b, so e_a is central iff every
     asymmetric exponent pair is killed by a vanishing monomial), "solve"
     runs the dense commutant null-space computation, and "both" (the
-    default on fiber algebras) runs the two and insists they agree."""
+    default on fiber algebras) runs the two and insists they agree.
+    "solve", the default otherwise, reads only F.dim, F.scalar(i, j) and
+    F.target(i, j), so it also runs on any algebra whose basis products
+    each land on one basis line, such as a quotient of a fiber algebra."""
     if method is None:
         method = "both" if isinstance(F, FiberAlgebra) else "solve"
     if method not in ("graded", "solve", "both"):
@@ -335,16 +299,7 @@ def _radical_flags(F: FiberAlgebra) -> np.ndarray:
     return np.array([not gram_entry(F, a, int(neg[a])) for a in range(625)])
 
 
-def _gram_rows_generic(alg: Algebra) -> List[Dict[int, CycNum]]:
-    """Sparse trace-form Gram rows by direct evaluation; O(dim^3) field operations."""
-    rows = []
-    for i in range(alg.dim):
-        row = {j: gram_entry(alg, i, j) for j in range(alg.dim)}
-        rows.append({j: v for j, v in row.items() if v})
-    return rows
-
-
-def gram_entry(alg: Algebra, i: int, j: int) -> CycNum:
+def gram_entry(alg, i: int, j: int) -> CycNum:
     """One entry of the trace form T(b_i, b_j) = trace(L_{b_i} L_{b_j})."""
     total = ZERO
     for c in range(alg.dim):
@@ -360,23 +315,21 @@ def gram_entry(alg: Algebra, i: int, j: int) -> CycNum:
     return total
 
 
-def radical_dim(F: Algebra) -> int:
+def radical_dim(F: FiberAlgebra) -> int:
     """Dimension of the kernel of the trace form (the Jacobson radical)."""
     return len(radical_basis(F))
 
 
-def radical_basis(F: Algebra) -> List[Dict[int, CycNum]]:
-    """Sparse basis vectors of the radical (unit vectors on fiber algebras)."""
-    if isinstance(F, FiberAlgebra):
-        flags = _radical_flags(F)
-        neg = indices.tables().neg
-        positions = sorted(int(neg[a]) for a in np.nonzero(flags)[0])
-        return [{p: ONE} for p in positions]
-    rows = _gram_rows_generic(F)
-    return kernel_basis(rows, F.dim, one=ONE)
+def radical_basis(F: FiberAlgebra) -> List[Dict[int, CycNum]]:
+    """Sparse basis of the radical: the unit vectors e_{-a}, in position
+    order, for each a whose one paired trace value T(e_a, e_{-a}) vanishes."""
+    flags = _radical_flags(F)
+    neg = indices.tables().neg
+    positions = sorted(int(neg[a]) for a in np.nonzero(flags)[0])
+    return [{p: ONE} for p in positions]
 
 
-def radical_is_ideal(F: Algebra) -> bool:
+def radical_is_ideal(F: FiberAlgebra) -> bool:
     """Exact closure check: radical times basis stays inside the radical span."""
     basis = radical_basis(F)
     if not basis:
@@ -404,8 +357,3 @@ def radical_is_ideal(F: Algebra) -> bool:
             if not span.contains(left) or not span.contains(right):
                 return False
     return True
-
-
-def is_semisimple(F: Algebra) -> bool:
-    """True iff the trace form is nondegenerate (radical dimension zero)."""
-    return radical_dim(F) == 0

@@ -26,6 +26,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import as_integer
+
 __all__ = [
     "weight_histogram",
     "tables",
@@ -101,22 +103,14 @@ def tables() -> IndexTables:
     return IndexTables()
 
 
-def _integer(x) -> int:
-    """x as an int if it is a Python or numpy integer; a bool, a float or a
-    str is a ValueError, not a truncated value."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError("index positions and digits must be integers, got %r" % (x,))
-    return int(x)
-
-
 def position(a) -> int:
     """Lex position of an index given as a position or as a sequence of 5 digits."""
     if isinstance(a, str) or not isinstance(a, Iterable):
-        pos = _integer(a)
+        pos = as_integer(a, "index positions")
         if not 0 <= pos < 625:
             raise ValueError("index position out of range: %d" % pos)
         return pos
-    digits = tuple(map(_integer, a))
+    digits = tuple(as_integer(x, "index digits") for x in a)
     try:
         return tables().index_of[digits]
     except KeyError:

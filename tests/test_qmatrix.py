@@ -210,8 +210,8 @@ def test_enumerated_matrices_satisfy_predicates():
 
 def test_enumeration_sorted_and_first_element():
     for mats in (enumerate_generic(), enumerate_admissible()):
-        flats = [m.flat() for m in mats]
-        assert flats == sorted(flats)
+        rows = [m.entries for m in mats]
+        assert rows == sorted(rows)
     assert enumerate_generic()[0] == CANONICAL
 
 
@@ -347,14 +347,14 @@ def test_orbit_matches_bfs_over_public_actions():
         for actions in ACTION_SUBSETS:
             orb = orbit(m, actions)
             assert orb == _bfs_orbit(m, actions), (m, actions)
-            assert canonical_representative(m, actions) == min(orb)
+            assert canonical_representative(m, actions) == min(orb, key=lambda x: x.entries)
 
 
 def test_orbit_representatives_per_action_subset():
     counts = {}
     for actions in ACTION_SUBSETS:
         reps = orbit_representatives(actions)
-        assert reps == sorted(reps)
+        assert reps == sorted(reps, key=lambda m: m.entries)
         assert all(canonical_representative(r, actions) == r for r in reps)
         assert sum(len(orbit(r, actions)) for r in reps) == 3000
         counts[",".join(sorted(actions))] = len(reps)
@@ -374,7 +374,7 @@ def test_canonical_representative_idempotent_and_orbit_constant():
     rep = canonical_representative(CANONICAL)
     assert rep == CANONICAL
     rng = np.random.default_rng(6)
-    orb = sorted(orbit(CANONICAL))
+    orb = sorted(orbit(CANONICAL), key=lambda m: m.entries)
     for k in rng.integers(0, 3000, size=8):
         assert canonical_representative(orb[int(k)]) == rep
 
@@ -411,12 +411,6 @@ def test_qmatrix_json_roundtrip():
     js = CANONICAL.to_json()
     assert js == [list(r) for r in CANONICAL.entries]
     assert QMatrix(js) == CANONICAL
-
-
-def test_qmatrix_ordering_row_major():
-    a = QMatrix([[0] * 5] * 5)
-    assert a < CANONICAL
-    assert sorted([CANONICAL, a])[0] == a
 
 
 def test_qmatrix_rejects_non_integer_entries(canonical_matrix):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qfermat import indices
+from qfermat.cohomology import TwistMultiset
 from qfermat.cyclotomic import CycNum, ONE, root_power
 from qfermat.errors import PreconditionError
-from qfermat.qmatrix import QMatrix, sample_admissible
+from qfermat.qmatrix import QMatrix, act_permute, act_scale, act_twist, sample_admissible
 from qfermat.rewrite import (
     AlgElement,
     graded_dimension,
@@ -151,9 +152,22 @@ def test_normal_form_rejects_bad_letters():
     lambda: indices.position(2.0),
     lambda: indices.position("10004"),
     lambda: indices.position((1.5, 3.5, 0, 0, 0)),
+    lambda: act_scale(CANONICAL, 2.5),
+    lambda: act_scale(CANONICAL, "2"),
+    lambda: act_twist(CANONICAL, (1.7, 0, 0, 0, -1.7)),
+    lambda: act_permute(CANONICAL, (1.0, 0, 2, 3, 4)),
+    lambda: root_power(1.5),
+    lambda: root_power(True),
+    lambda: root_power(np.True_),
+    lambda: ONE.times_root(1.5),
+    lambda: root_power(1).galois(2.5),
+    lambda: TwistMultiset([(1.5, 2.9)]),
+    lambda: TwistMultiset([(True, True)]),
 ], ids=["float-letter", "str-word", "bool-letter", "numpy-float-letter", "float-exponent",
         "float-degree", "bool-degree", "bool-position", "numpy-bool-position",
-        "float-position", "str-index", "float-digits"])
+        "float-position", "str-index", "float-digits", "float-scale", "str-scale",
+        "float-twist", "float-permutation", "float-root", "bool-root", "numpy-bool-root",
+        "float-rotation", "float-galois", "float-twist-pair", "bool-twist-pair"])
 def test_integer_inputs_refuse_bools_floats_and_strings(call):
     # each of these was truncated or read digit by digit, or raised TypeError
     with pytest.raises(ValueError, match="integer"):
@@ -166,6 +180,14 @@ def test_integer_inputs_accept_numpy_integers():
     assert graded_dimension(np.int64(7)) == graded_dimension(7)
     assert indices.position(np.uint16(124)) == 124
     assert indices.position(np.array([1, 0, 0, 0, 4])) == indices.position((1, 0, 0, 0, 4))
+    assert act_scale(CANONICAL, np.int64(2)) == act_scale(CANONICAL, 2)
+    assert act_twist(CANONICAL, np.arange(5)) == act_twist(CANONICAL, range(5))
+    swap = (1, 0, 2, 3, 4)
+    assert act_permute(CANONICAL, np.array(swap)) == act_permute(CANONICAL, swap)
+    assert root_power(np.int8(3)) == ONE.times_root(np.uint8(3)) == root_power(3)
+    assert root_power(1).galois(np.int64(3)) == root_power(3)
+    twists = TwistMultiset([(np.int64(-1), np.uint16(3))])
+    assert twists.pairs == ((-1, 3),) and all(type(x) is int for x in twists.pairs[0])
 
 
 def test_normal_form_rejects_non_admissible_matrix():
