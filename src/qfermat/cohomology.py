@@ -26,7 +26,7 @@ from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import indices
-from .errors import PreconditionError, as_integer
+from .errors import PreconditionError, as_integer, as_rational
 
 __all__ = [
     "RatPolynomial",
@@ -41,27 +41,20 @@ __all__ = [
 ]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError("cannot interpret %r as a rational number" % (value,))
-
-
 class RatPolynomial:
-    """Polynomial with rational coefficients, stored lowest degree first."""
+    """Polynomial with rational coefficients, stored lowest degree first;
+    coefficients and arguments are read by errors.as_rational."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [as_rational(c, "polynomial coefficients") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     def __call__(self, n) -> Fraction:
-        x = _as_fraction(n)
+        x = as_rational(n, "polynomial arguments")
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * x + c

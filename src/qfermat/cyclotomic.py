@@ -3,9 +3,10 @@
 Every scalar in the system is either an exponent in Z/5, kept as a plain int
 in 0..4, or a value in Q(zeta_5), with zeta_5 a fixed primitive fifth root
 of unity.  CycNum stores coordinates on the power basis {1, z, z^2, z^3}
-with Fraction entries; powers z^4 and higher are rewritten through the
-minimal polynomial 1 + z + z^2 + z^3 + z^4 = 0, so equality of values is
-literally equality of coordinate tuples.
+with Fraction entries, read from Fractions, integers or exact fraction
+strings by errors.as_rational; powers z^4 and higher are rewritten through
+the minimal polynomial 1 + z + z^2 + z^3 + z^4 = 0, so equality of values
+is literally equality of coordinate tuples.
 
 Most scalars downstream are pure roots of unity, so callers carry the
 exponent and realize it with root_power only when a genuine field element is
@@ -16,9 +17,9 @@ two views agree wherever both apply (root_power is a homomorphism from Z/5).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from .errors import as_integer
+from .errors import as_integer, as_rational
 
 __all__ = [
     "CycNum",
@@ -28,27 +29,17 @@ __all__ = [
 ]
 
 
-CoeffLike = Union[int, str, Fraction]
-
-
-def _as_fraction(c: CoeffLike) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, (int, str)):
-        return Fraction(c)
-    raise TypeError("coordinate must be an int, Fraction or fraction string, got %r" % (c,))
-
-
 class CycNum:
     """Element of Q(zeta_5) on the basis {1, z, z^2, z^3}.
 
-    Immutable by convention; do not mutate .coeffs after construction.
+    The four coordinates are read by errors.as_rational, so a bool or a float
+    is a ValueError.  Immutable by convention; do not mutate .coeffs.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[CoeffLike] = (0, 0, 0, 0)):
-        cs = tuple(_as_fraction(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable = (0, 0, 0, 0)):
+        cs = tuple(as_rational(c, "CycNum coordinates") for c in coeffs)
         if len(cs) != 4:
             raise ValueError("CycNum takes exactly 4 coordinates, got %d" % len(cs))
         self.coeffs = cs
@@ -60,6 +51,7 @@ class CycNum:
     # -- ring structure ------------------------------------------------
 
     def _coerce(self, other) -> "CycNum":
+        # a bool operand is an int here and is refused by the constructor
         if isinstance(other, CycNum):
             return other
         if isinstance(other, (int, Fraction)):

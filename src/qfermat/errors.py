@@ -1,9 +1,11 @@
 """Shared exception types for the toolkit, `kind` naming the failure kind,
-and the one rule by which every entry point reads an integer argument."""
+and the one rule for integer and for rational arguments."""
 
 import operator
+from fractions import Fraction
 
-__all__ = ["ToolkitError", "PreconditionError", "BudgetExceededError", "as_integer"]
+__all__ = ["ToolkitError", "PreconditionError", "BudgetExceededError", "as_integer",
+           "as_rational"]
 
 
 class ToolkitError(Exception):
@@ -43,3 +45,15 @@ def as_integer(x, what: str) -> int:
         except TypeError:
             pass
     raise ValueError("%s must be integers, got %r" % (what, x))
+
+
+def as_rational(x, what: str) -> Fraction:
+    """x as a Fraction if it is a Fraction, an integer by as_integer's rule,
+    or a str that Fraction reads exactly ("1/2", "-3", "1.5"); anything else,
+    a bool, a float or "1/0" among them, is a ValueError naming `what`."""
+    if type(x) is Fraction:  # all that CycNum arithmetic hands its constructor
+        return x
+    try:
+        return Fraction(x) if isinstance(x, str) else Fraction(as_integer(x, what))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("%s must be exact rationals, got %r" % (what, x)) from None

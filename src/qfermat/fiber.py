@@ -28,14 +28,13 @@ per row from the generic gram_entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import indices
 from .cyclotomic import CycNum, ONE, ZERO, root_power
-from .errors import PreconditionError, ToolkitError
+from .errors import PreconditionError, ToolkitError, as_rational
 from .linalg import ExactRREF
 from .structure import StructureTable, verify_associativity
 
@@ -57,15 +56,14 @@ _INT_COORD_LIMIT = 32
 def _as_cyc(value) -> CycNum:
     if isinstance(value, CycNum):
         return value
-    if isinstance(value, (int, str, Fraction)):
-        return CycNum((value, 0, 0, 0))
     if isinstance(value, (list, tuple)):
         return CycNum(value)
-    raise TypeError("cannot interpret %r as a field element" % (value,))
+    return CycNum((value, 0, 0, 0))
 
 
 class FiberPoint:
-    """A point of the hyperplane sum(x_i) = 0, coordinates in Q(zeta_5)."""
+    """A point of the hyperplane sum(x_i) = 0, coordinates in Q(zeta_5), each
+    a CycNum, its four coordinates as a list or tuple, or one rational."""
 
     __slots__ = ("coords",)
 
@@ -87,8 +85,8 @@ class FiberPoint:
         """Parse comma-separated rational coordinates like "1,1,1,1,-4"."""
         parts = [p.strip() for p in text.split(",")]
         try:
-            values = [Fraction(p) for p in parts]
-        except (ValueError, ZeroDivisionError) as exc:
+            values = [as_rational(p, "point coordinates") for p in parts]
+        except ValueError as exc:
             raise PreconditionError("cannot parse point %r: %s" % (text, exc))
         return cls(values)
 

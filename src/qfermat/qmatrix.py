@@ -246,9 +246,10 @@ def count_admissible() -> int:
 
 def sample_admissible(count: int, seed: int) -> List[QMatrix]:
     """Seeded uniform sample of admissible matrices, drawn by free entries."""
+    count = as_integer(count, "sample counts")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    free = np.random.default_rng(seed).integers(0, 5, (count, 6))
+    free = np.random.default_rng(as_integer(seed, "seeds")).integers(0, 5, (count, 6))
     return _reduced(_from_free(free))
 
 

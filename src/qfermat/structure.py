@@ -48,7 +48,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import indices
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, as_integer
 from .qmatrix import QMatrix, is_admissible
 
 __all__ = [
@@ -127,7 +127,7 @@ class StructureTable:
     def replace_exponent(self, a, b, new_exp: int) -> "StructureTable":
         """Copy of the table with one exponent overwritten (fault injection)."""
         exp = self.exp.copy()
-        exp[indices.position(a), indices.position(b)] = int(new_exp) % 5
+        exp[indices.position(a), indices.position(b)] = as_integer(new_exp, "exponents") % 5
         return StructureTable(self.source_matrix, exp)
 
     # -- serialization ----------------------------------------------------
@@ -428,13 +428,14 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     the module docstring: 51 D + 1 mod 256 is at most 2.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
     have passed, checked before each slab of b or slice of triples.  A
-    negative seed and a negative or NaN budget_seconds raise
-    PreconditionError.
+    seed is read by errors.as_integer; a negative seed and a negative or NaN
+    budget_seconds raise PreconditionError.
 
     Returns a truthy/falsy report carrying the violating triples, if any.
     """
     kind, count = parse_mode(mode)
-    if seed is not None and int(seed) < 0:
+    seed = None if seed is None else as_integer(seed, "seeds")
+    if seed is not None and seed < 0:
         raise PreconditionError("seed must be nonnegative, got %r" % (seed,))
     if budget_seconds is not None and not budget_seconds >= 0:
         raise PreconditionError("budget_seconds must be >= 0, got %r" % (budget_seconds,))
@@ -446,9 +447,9 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     else:
         if seed is None:
             raise PreconditionError("sampled verification requires an explicit seed")
-        report.seed = int(seed)
+        report.seed = seed
         report.mode = "sampled(%d)" % count
-        _verify_sampled(table, count, int(seed), report, budget_seconds)
+        _verify_sampled(table, count, seed, report, budget_seconds)
     return report
 
 

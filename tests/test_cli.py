@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +132,7 @@ def test_verify_exact_ok(capsys, table_file):
 
 
 def test_verify_detects_corrupted_table(capsys, table_file, tmp_path):
-    data = json.loads(open(table_file).read())
+    data = json.loads(Path(table_file).read_text())
     row = data["exp"][0]
     data["exp"][0] = row[:7] + str((int(row[7]) + 1) % 5) + row[8:]
     bad_path = tmp_path / "bad.json"
@@ -455,7 +456,7 @@ def test_sampled_violations_match_pinned_hash(capsys, table_file, tmp_path):
     # slice.  One exponent is moved by 2, at the pair that
     # test_corrupted_exponent_detected_by_every_mode corrupts.
     i, j = indices.position((0, 0, 1, 1, 3)), indices.position((0, 1, 4, 4, 1))
-    data = json.loads(open(table_file).read())
+    data = json.loads(Path(table_file).read_text())
     row = data["exp"][i]
     data["exp"][i] = row[:j] + str((int(row[j]) + 2) % 5) + row[j + 1:]
     bad_path = tmp_path / "bad.json"
@@ -546,7 +547,7 @@ MALFORMED_TABLES = [_drop_last_row, _short_row, _set_digit("x"), _set_digit("5")
     "exp-5", "bare-list", "non-admissible-source"])
 def test_malformed_table_is_parse_record(capsys, table_file, tmp_path, corrupt):
     # a corruption either edits the document or returns its replacement
-    data = json.loads(open(table_file).read())
+    data = json.loads(Path(table_file).read_text())
     path = tmp_path / "table.json"
     path.write_text(json.dumps(corrupt(data) or data))
     for argv in (["verify", "--table", str(path)],

@@ -19,6 +19,7 @@ from qfermat.fiber import (
     radical_is_ideal,
     specialize,
 )
+from qfermat.qmatrix import enumerate_generic
 
 FULL = (1, 1, 1, 1, -4)
 DEGENERATE = (1, -1, 1, -1, 0)
@@ -292,6 +293,28 @@ def test_fiber_radical_and_quotient_are_read_off_the_support(canonical_table):
                     assert oracles.radical_basis(quotient) == [], sigma
             seen.setdefault(size, set()).add((len(radical), kernel, len(G) // kernel))
     assert seen == {size: {facts} for size, facts in SUPPORT_FACTS.items()}
+
+
+def test_support_kernel_orders_hold_for_every_generic_matrix():
+    # the kernel orders of SUPPORT_FACTS, read off the canonical N above,
+    # hold for all 3000 generic N: over the basis e_i - e_last of G_sigma,
+    # omega_N is the small form B = V N V^T mod 5, and its kernel
+    # {v : v B = 0} is counted among all 5^(|sigma|-1) coordinate vectors v,
+    # never on a (3000, 625, 625) array
+    n = np.array([m.entries for m in enumerate_generic()], dtype=np.int16)
+    assert len(n) == 3000
+    patterns = 0
+    for size, (_, kernel, _) in SUPPORT_FACTS.items():
+        vectors = np.array(list(itertools.product(range(5), repeat=size - 1)), dtype=np.int16)
+        for sigma in itertools.combinations(range(5), size):
+            basis = np.zeros((size - 1, 5), dtype=np.int16)
+            basis[np.arange(size - 1), sigma[:-1]] = 1
+            basis[:, sigma[-1]] = 4
+            form = basis @ n @ basis.T % 5
+            orders = (vectors @ form % 5 == 0).all(axis=2).sum(axis=1)
+            assert (orders == kernel).all(), sigma
+            patterns += 1
+    assert patterns == 26
 
 
 def test_semisimple_iff_radical_trivial(canonical_table):

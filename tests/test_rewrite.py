@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qfermat import indices
-from qfermat.cohomology import TwistMultiset
+from qfermat.cohomology import RatPolynomial, TwistMultiset
 from qfermat.cyclotomic import CycNum, ONE, root_power
 from qfermat.errors import PreconditionError
+from qfermat.fiber import FiberPoint
 from qfermat.qmatrix import QMatrix, act_permute, act_scale, act_twist, sample_admissible
 from qfermat.rewrite import (
     AlgElement,
@@ -18,7 +19,7 @@ from qfermat.rewrite import (
     normal_form,
     normal_form_random_schedule,
 )
-from qfermat.structure import build_table
+from qfermat.structure import build_table, verify_associativity
 
 CANONICAL = QMatrix([
     (0, 0, 0, 0, 0),
@@ -163,11 +164,22 @@ def test_normal_form_rejects_bad_letters():
     lambda: root_power(1).galois(2.5),
     lambda: TwistMultiset([(1.5, 2.9)]),
     lambda: TwistMultiset([(True, True)]),
+    lambda: verify_associativity(build_table(CANONICAL), "sampled=10", seed=2.9),
+    lambda: verify_associativity(build_table(CANONICAL), "sampled=10", seed=True),
+    lambda: verify_associativity(build_table(CANONICAL), "sampled=10", seed="7"),
+    lambda: build_table(CANONICAL).replace_exponent(0, 1, 2.7),
+    lambda: build_table(CANONICAL).replace_exponent(0, 1, True),
+    lambda: build_table(CANONICAL).replace_exponent(0, 1, "3"),
+    lambda: sample_admissible(1.5, seed=1),
+    lambda: sample_admissible(2, seed=True),
 ], ids=["float-letter", "str-word", "bool-letter", "numpy-float-letter", "float-exponent",
         "float-degree", "bool-degree", "bool-position", "numpy-bool-position",
         "float-position", "str-index", "float-digits", "float-scale", "str-scale",
         "float-twist", "float-permutation", "float-root", "bool-root", "numpy-bool-root",
-        "float-rotation", "float-galois", "float-twist-pair", "bool-twist-pair"])
+        "float-rotation", "float-galois", "float-twist-pair", "bool-twist-pair",
+        "float-seed", "bool-seed", "str-seed", "float-table-exponent",
+        "bool-table-exponent", "str-table-exponent", "float-sample-count",
+        "bool-sample-seed"])
 def test_integer_inputs_refuse_bools_floats_and_strings(call):
     # each of these was truncated or read digit by digit, or raised TypeError
     with pytest.raises(ValueError, match="integer"):
@@ -188,6 +200,54 @@ def test_integer_inputs_accept_numpy_integers():
     assert root_power(1).galois(np.int64(3)) == root_power(3)
     twists = TwistMultiset([(np.int64(-1), np.uint16(3))])
     assert twists.pairs == ((-1, 3),) and all(type(x) is int for x in twists.pairs[0])
+    table = build_table(CANONICAL)
+    sampled = verify_associativity(table, "sampled=10", seed=np.uint8(7))
+    assert sampled.to_json() == verify_associativity(table, "sampled=10", seed=7).to_json()
+    assert type(sampled.seed) is int
+    changed = table.replace_exponent(0, 1, np.int64(7))
+    assert np.array_equal(changed.exp, table.replace_exponent(0, 1, 2).exp)
+    assert sample_admissible(np.int64(3), seed=np.uint16(5)) == sample_admissible(3, seed=5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CycNum((True, 0, 0, 0)),
+    lambda: CycNum((np.True_, 0, 0, 0)),
+    lambda: CycNum((1.5, 0, 0, 0)),
+    lambda: CycNum((np.float64(0.5), 0, 0, 0)),
+    lambda: CycNum(("1/0", 0, 0, 0)),
+    lambda: CycNum(("abc", 0, 0, 0)),
+    lambda: RatPolynomial([True]),
+    lambda: RatPolynomial([0.5]),
+    lambda: RatPolynomial([1, 1])(True),
+    lambda: RatPolynomial([1, 1])(0.5),
+    lambda: FiberPoint((True, -1, 0, 0, 0)),
+    lambda: FiberPoint((1.5, -1.5, 0, 0, 0)),
+    lambda: FiberPoint((1, -1, 0, 0, 0)).scaled(True),
+    lambda: AlgElement({(0, 1, 0, 0, 0): True}),
+    lambda: AlgElement({(0, 1, 0, 0, 0): 0.5}),
+], ids=["bool-coordinate", "numpy-bool-coordinate", "float-coordinate",
+        "numpy-float-coordinate", "zero-denominator", "unparsed-string",
+        "bool-coefficient", "float-coefficient", "bool-argument", "float-argument",
+        "bool-point", "float-point", "bool-scale", "bool-term", "float-term"])
+def test_rational_inputs_refuse_bools_floats_and_bad_strings(call):
+    # bools were read as 0 or 1, floats raised TypeError and "1/0" ZeroDivisionError
+    with pytest.raises(ValueError, match="rational"):
+        call()
+
+
+def test_rational_inputs_accept_numpy_integers_and_exact_strings():
+    x = CycNum((np.int64(3), np.uint8(2), np.int8(-1), 0))
+    assert x.coeffs == CycNum((3, 2, -1, 0)).coeffs
+    assert all(type(c) is Fraction for c in x.coeffs)
+    poly = RatPolynomial([np.int16(1), np.int64(2)])
+    assert poly == RatPolynomial([1, 2]) and poly(np.uint8(3)) == poly(3) == 7
+    point = FiberPoint(np.arange(-2, 3))
+    assert point == FiberPoint(range(-2, 3))
+    assert point.scaled(np.int64(2)) == point.scaled(2)
+    t1 = (0, 1, 0, 0, 0)
+    assert AlgElement({t1: np.int32(2)}) == AlgElement({t1: 2})
+    assert CycNum(("1.5", 0, 0, 0)).coeffs[0] == Fraction(3, 2)
+    assert FiberPoint.parse("1.5,-1.5,0,0,0") == FiberPoint((Fraction(3, 2), "-3/2", 0, 0, 0))
 
 
 def test_normal_form_rejects_non_admissible_matrix():
