@@ -158,7 +158,10 @@ def _sections(d: int) -> int:
 
 
 def cohomology_dim(d: int, i: int) -> int:
-    """dim H^i of the line bundle O(d) on projective 3-space."""
+    """dim H^i of the line bundle O(d) on projective 3-space; d and i are
+    read by errors.as_integer."""
+    d = as_integer(d, "twists d")
+    i = as_integer(i, "cohomological degrees i")
     if i not in (0, 1, 2, 3):
         raise PreconditionError("cohomological degree must be 0..3 on a threefold")
     if i == 0:
@@ -170,7 +173,9 @@ def cohomology_dim(d: int, i: int) -> int:
 
 
 def sheaf_cohomology(twists: TwistMultiset, n: int) -> Tuple[int, int, int, int]:
-    """(h^0, h^1, h^2, h^3) of the multiset twisted by n."""
+    """(h^0, h^1, h^2, h^3) of the multiset twisted by n, an integer read by
+    errors.as_integer."""
+    n = as_integer(n, "twists n")
     dims = [0, 0, 0, 0]
     for d, mult in twists:
         for i in range(4):

@@ -144,6 +144,9 @@ class CycNum:
     # -- comparisons and hashing ----------------------------------------
 
     def __eq__(self, other):
+        # a bool equals no CycNum, though arithmetic with one is refused
+        if isinstance(other, bool):
+            return NotImplemented
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -90,12 +90,6 @@ class FiberPoint:
             raise PreconditionError("cannot parse point %r: %s" % (text, exc))
         return cls(values)
 
-    def scaled(self, factor) -> "FiberPoint":
-        f = _as_cyc(factor)
-        if not f:
-            raise PreconditionError("scaling factor must be nonzero")
-        return FiberPoint([c * f for c in self.coords])
-
     def support(self) -> Tuple[bool, ...]:
         return tuple(bool(c) for c in self.coords)
 

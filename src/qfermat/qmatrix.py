@@ -1,4 +1,4 @@
-"""Quantum parameter matrices: admissibility, genericity, group actions, classification.
+"""Quantum parameter matrices: admissibility, genericity, orbit classification.
 
 A quantum parameter matrix N holds the exponents n_ij in {0..4} of the
 commutation coefficients q_ij = zeta^{n_ij} between the five degree-1
@@ -22,8 +22,10 @@ matrices live in one int8 array indexed by code, genericity is decided for
 every code by one array expression over the 60 triples, and QMatrix objects
 are built only for the codes a caller asks for.  Orbits are read from
 label[c], the least code in the orbit of code c, which min-propagation finds
-along seven generators: scaling by 2, the permutations (1,0,2,3,4) and
-(1,2,3,4,0), and the twists e_0 - e_b for b = 1..4.
+along seven generators, each an array of the images of all 5^6 codes:
+scaling by 2 (2 generates the units mod 5), the permutations (1,0,2,3,4)
+and (1,2,3,4,0) (a transposition and a 5-cycle generate S_5), and the
+twists by e_0 - e_b for b = 1..4 (these span the zero-sum vectors).
 
 The headline computation: there are exactly 15625 admissible matrices, 3000
 of them generic, and the generic ones form a single orbit, already under
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
@@ -44,16 +46,8 @@ __all__ = [
     "QMatrix",
     "ClassificationReport",
     "is_admissible",
-    "is_generic",
-    "act_scale",
-    "act_permute",
-    "act_twist",
     "enumerate_generic",
-    "enumerate_admissible",
     "count_admissible",
-    "sample_admissible",
-    "orbit",
-    "canonical_representative",
     "canonical_generic_representative",
     "orbit_representatives",
     "classify",
@@ -116,49 +110,6 @@ def is_admissible(N) -> bool:
     return all(s == 0 for s in N.row_sums())
 
 
-def is_generic(N) -> bool:
-    """n_ij + n_jk != n_ik for all 60 ordered pairwise-distinct triples."""
-    N = _coerce(N)
-    e = N.entries
-    for i, j, k in _TRIPLES:
-        if (e[i][j] + e[j][k] - e[i][k]) % 5 == 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# actions
-
-
-def act_scale(N, a: int) -> QMatrix:
-    """Multiply every entry by a; a must be invertible mod 5."""
-    N = _coerce(N)
-    a = as_integer(a, "scaling factors") % 5
-    if a == 0:
-        raise PreconditionError("scaling factor must be nonzero mod 5")
-    return QMatrix([[(x * a) % 5 for x in row] for row in N.entries])
-
-
-def act_permute(N, sigma: Sequence[int]) -> QMatrix:
-    """Entry (i, j) of the result is n_{sigma(i), sigma(j)}."""
-    N = _coerce(N)
-    s = tuple(as_integer(x, "permutation entries") for x in sigma)
-    if sorted(s) != list(range(5)):
-        raise PreconditionError("sigma must be a permutation of 0..4")
-    e = N.entries
-    return QMatrix([[e[s[i]][s[j]] for j in range(5)] for i in range(5)])
-
-
-def act_twist(N, v: Sequence[int]) -> QMatrix:
-    """Entry (i, j) of the result is n_ij + v_i - v_j (a Zhang twist)."""
-    N = _coerce(N)
-    w = tuple(as_integer(x, "twist components") % 5 for x in v)
-    if len(w) != 5:
-        raise PreconditionError("twist vector must have 5 components")
-    e = N.entries
-    return QMatrix([[(e[i][j] + w[i] - w[j]) % 5 for j in range(5)] for i in range(5)])
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -169,44 +120,36 @@ _FREE_ROWS, _FREE_COLS = np.array(_FREE_PAIRS).T
 _PLACES = 5 ** np.arange(5, -1, -1)
 
 
-def _from_free(free: np.ndarray) -> np.ndarray:
-    """(m, 6) free entries n01, n02, n03, n12, n13, n23 -> (m, 5, 5) int8 entries in 0..4.
-
-    Skew symmetry fixes the lower triangle and zero row sums fix column 4;
-    row 4 then sums to zero by itself, because the row sums of a skew matrix
-    add up to zero.  So every result is admissible.
-    """
-    ent = np.zeros((free.shape[0], 5, 5), dtype=np.int8)
-    for p, (i, j) in enumerate(_FREE_PAIRS):
-        ent[:, i, j] = free[:, p]
-        ent[:, j, i] = -free[:, p]
-    ent[:, :4, 4] = -ent[:, :4, :4].sum(axis=2)
-    ent[:, 4, :4] = -ent[:, :4, 4]
-    return ent % 5
-
-
 @lru_cache(maxsize=1)
 def _all_entries() -> np.ndarray:
-    """(5^6, 5, 5) entries of every admissible matrix; row c has code c."""
-    ent = _from_free(np.indices((5,) * 6).reshape(6, -1).T)
+    """(5^6, 5, 5) int8 entries in 0..4 of every admissible matrix; row c has code c.
+
+    The free entries n01, n02, n03, n12, n13, n23 of row c are the base-5
+    digits of c.  Skew symmetry fixes the lower triangle and zero row sums
+    fix column 4; row 4 then sums to zero by itself, because the row sums of
+    a skew matrix add up to zero.  So every row is admissible.
+    """
+    free = np.indices((5,) * 6).reshape(6, -1)
+    ent = np.zeros((5 ** 6, 5, 5), dtype=np.int8)
+    for (i, j), f in zip(_FREE_PAIRS, free):
+        ent[:, i, j] = f
+        ent[:, j, i] = -f
+    ent[:, :4, 4] = -ent[:, :4, :4].sum(axis=2)
+    ent[:, 4, :4] = -ent[:, :4, 4]
+    ent %= 5
     ent.setflags(write=False)
     return ent
 
 
-def _reduced(ent: np.ndarray) -> List[QMatrix]:
-    """QMatrix objects of (m, 5, 5) entries already in 0..4, without the
-    validating constructor."""
+def _matrices(codes: np.ndarray) -> List[QMatrix]:
+    """The admissible matrices with the given codes, in the order given, built
+    without the validating constructor: their entries are already in 0..4."""
     out = []
-    for rows in ent.tolist():
+    for rows in _all_entries()[codes].tolist():
         m = object.__new__(QMatrix)
         m.entries = tuple(map(tuple, rows))
         out.append(m)
     return out
-
-
-def _matrices(codes: np.ndarray) -> List[QMatrix]:
-    """The admissible matrices with the given codes, in the order given."""
-    return _reduced(_all_entries()[codes])
 
 
 @lru_cache(maxsize=1)
@@ -228,29 +171,16 @@ def _generic_codes() -> np.ndarray:
 def enumerate_generic() -> List[QMatrix]:
     """All admissible and generic matrices, sorted by row-major entries.
 
-    The generic codes come from one cached array test over all 5^6
-    admissible matrices; each call builds QMatrix objects for those only.
+    No command calls it.  It stays because the traced benchmark wraps it by
+    name (_TRACED in perfbench/worker.py), and it can go when that list
+    drops it.
     """
     return _matrices(_generic_codes())
-
-
-def enumerate_admissible() -> List[QMatrix]:
-    """All admissible matrices (genericity not required), sorted."""
-    return _matrices(np.arange(count_admissible()))
 
 
 def count_admissible() -> int:
     """Number of admissible matrices (genericity not required)."""
     return len(_all_entries())
-
-
-def sample_admissible(count: int, seed: int) -> List[QMatrix]:
-    """Seeded uniform sample of admissible matrices, drawn by free entries."""
-    count = as_integer(count, "sample counts")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    free = np.random.default_rng(as_integer(seed, "seeds")).integers(0, 5, (count, 6))
-    return _reduced(_from_free(free))
 
 
 # ---------------------------------------------------------------------------
@@ -299,34 +229,6 @@ def _labels(actions: FrozenSet[str]) -> np.ndarray:
         if np.array_equal(label, prev):
             label.setflags(write=False)
             return label
-
-
-def _code(N) -> int:
-    """The code of an admissible N: its free entries as a base-5 number."""
-    N = _coerce(N)
-    if not is_admissible(N):
-        raise PreconditionError("orbit requires an admissible matrix")
-    return sum(N.entries[i][j] * int(w) for (i, j), w in zip(_FREE_PAIRS, _PLACES))
-
-
-def orbit(N, actions=ALL_ACTIONS) -> Set[QMatrix]:
-    """The orbit of an admissible N under the selected actions.
-
-    Twists are the zero-sum ones, so every member stays admissible; scaling
-    uses all nonzero factors and permutations all of S_5.
-    """
-    code = _code(N)
-    label = _labels(_check_actions(actions))
-    return set(_matrices(np.flatnonzero(label == label[code])))
-
-
-def canonical_representative(N, actions=ALL_ACTIONS) -> QMatrix:
-    """Lexicographic minimum of the orbit, matrices ordered row-major.
-
-    That is the matrix at the orbit's label, its least code, because code
-    order is row-major order."""
-    code = _code(N)
-    return _matrices(_labels(_check_actions(actions))[[code]])[0]
 
 
 def orbit_representatives(actions=ALL_ACTIONS) -> List[QMatrix]:

@@ -40,6 +40,7 @@ tiles of E translated by the 25 entries sum_idx[b mod 25, :25].
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -428,8 +429,9 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     the module docstring: 51 D + 1 mod 256 is at most 2.
     Full-triple and sampled raise BudgetExceededError once budget_seconds
     have passed, checked before each slab of b or slice of triples.  A
-    seed is read by errors.as_integer; a negative seed and a negative or NaN
-    budget_seconds raise PreconditionError.
+    seed is read by errors.as_integer; a negative seed raises
+    PreconditionError, and so does a budget_seconds that is not a real
+    number >= 0 (a bool, a str, a negative number or NaN).
 
     Returns a truthy/falsy report carrying the violating triples, if any.
     """
@@ -437,8 +439,11 @@ def verify_associativity(table: StructureTable, mode: str = "exact-bilinear",
     seed = None if seed is None else as_integer(seed, "seeds")
     if seed is not None and seed < 0:
         raise PreconditionError("seed must be nonnegative, got %r" % (seed,))
-    if budget_seconds is not None and not budget_seconds >= 0:
-        raise PreconditionError("budget_seconds must be >= 0, got %r" % (budget_seconds,))
+    if budget_seconds is not None and (isinstance(budget_seconds, bool)
+                                       or not isinstance(budget_seconds, numbers.Real)
+                                       or not budget_seconds >= 0):
+        raise PreconditionError("budget_seconds must be a real number >= 0, got %r"
+                                % (budget_seconds,))
     report = AssociativityReport(ok=True, mode=kind, checks=0)
     if kind == "exact-bilinear":
         _verify_exact_bilinear(table, report)

@@ -1,4 +1,10 @@
-"""Generic oracles for the fiber and linear-algebra tests.
+"""Oracles for the parameter-matrix, fiber and linear-algebra tests.
+
+The package enumerates and classifies the admissible matrices through one
+int8 array over all 5^6 of them and orbit labels along seven generators.
+The oracles here are the definitions read off the paper, one matrix at a
+time: genericity over the 60 ordered triples, the three group actions, and
+the admissible matrices built from their six free entries in plain Python.
 
 The package computes centers and radicals of the 625-dimensional fiber
 algebras by shortcuts that need the index monoid.  The generic versions
@@ -9,13 +15,87 @@ of center_dim on.  Both take O(dim^3) field operations, so they run on
 algebras of a few dozen dimensions.
 """
 
-from typing import Dict, Iterable, List, Sequence
+import itertools
+from functools import lru_cache
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from qfermat.cyclotomic import ONE, CycNum
 from qfermat.fiber import gram_entry
 from qfermat.linalg import ExactRREF
+from qfermat.qmatrix import QMatrix
 
 Row = Dict[int, CycNum]
+
+# ---------------------------------------------------------------------------
+# quantum parameter matrices
+
+# the six free entries of an admissible matrix, row-major
+FREE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def is_generic(N: QMatrix) -> bool:
+    """n_ij + n_jk != n_ik mod 5 for all 60 ordered pairwise-distinct triples."""
+    e = N.entries
+    return all((e[i][j] + e[j][k] - e[i][k]) % 5
+               for i, j, k in itertools.permutations(range(5), 3))
+
+
+def act_scale(N: QMatrix, a: int) -> QMatrix:
+    """Every entry times a, a unit mod 5 (another choice of primitive root)."""
+    if a % 5 == 0:
+        raise ValueError("scaling factor must be nonzero mod 5")
+    return QMatrix([[x * a for x in row] for row in N.entries])
+
+
+def act_permute(N: QMatrix, sigma: Sequence[int]) -> QMatrix:
+    """Entry (i, j) of the result is n_{sigma(i), sigma(j)}."""
+    if sorted(sigma) != list(range(5)):
+        raise ValueError("sigma must be a permutation of 0..4")
+    e = N.entries
+    return QMatrix([[e[sigma[i]][sigma[j]] for j in range(5)] for i in range(5)])
+
+
+def act_twist(N: QMatrix, v: Sequence[int]) -> QMatrix:
+    """Entry (i, j) of the result is n_ij + v_i - v_j (a Zhang twist)."""
+    e = N.entries
+    return QMatrix([[e[i][j] + v[i] - v[j] for j in range(5)] for i in range(5)])
+
+
+def from_free(free: Sequence[int]) -> QMatrix:
+    """The admissible matrix with free entries n01, n02, n03, n12, n13, n23:
+    skew symmetry fixes the lower triangle and zero row sums fix column 4."""
+    n = [[0] * 5 for _ in range(5)]
+    for (i, j), x in zip(FREE_PAIRS, free):
+        n[i][j], n[j][i] = x, -x
+    for i in range(4):
+        n[i][4] = -sum(n[i][:4])
+        n[4][i] = -n[i][4]
+    return QMatrix(n)
+
+
+@lru_cache(maxsize=1)
+def admissible_matrices() -> Tuple[QMatrix, ...]:
+    """All 5^6 admissible matrices; the one at position c has its free
+    entries read as a base-5 number, n01 most significant, equal to c."""
+    return tuple(from_free(f) for f in itertools.product(range(5), repeat=6))
+
+
+@lru_cache(maxsize=1)
+def generic_matrices() -> Tuple[QMatrix, ...]:
+    """The admissible matrices that is_generic accepts, in the same order."""
+    return tuple(m for m in admissible_matrices() if is_generic(m))
+
+
+def sample_admissible(count: int, seed: int) -> List[QMatrix]:
+    """count admissible matrices drawn uniformly by their free entries."""
+    free = np.random.default_rng(seed).integers(0, 5, (count, 6))
+    return [from_free(f) for f in free.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# algebras
 
 
 class MonomialAlgebra:

@@ -143,6 +143,12 @@ def test_eq_and_hash_consistency_with_ints():
     assert hash(CycNum((Fraction(1, 2), 0, 0, 0))) == hash(Fraction(1, 2))
     d = {CycNum((3, 0, 0, 0)): "x"}
     assert d[3] == "x"
+    # a bool equals no CycNum, though arithmetic with one is refused
+    assert not ONE == True
+    assert ONE != False
+    assert ONE not in {True} and ONE not in [True] and ZERO not in [False]
+    with pytest.raises(ValueError):
+        ONE + True
 
 
 def test_json_roundtrip():

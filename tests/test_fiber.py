@@ -25,6 +25,12 @@ FULL = (1, 1, 1, 1, -4)
 DEGENERATE = (1, -1, 1, -1, 0)
 MIXED = (1, 2, -3, 4, -4)
 
+
+def _scaled(coords, factor):
+    """The point coords with every coordinate times factor."""
+    return FiberPoint([c * factor for c in FiberPoint(coords).coords])
+
+
 # ---------------------------------------------------------
 # point validation
 # ---------------------------------------------------------
@@ -57,15 +63,12 @@ def test_point_parse_and_fractions():
 
 
 def test_point_scaling_and_cyclotomic_coords():
-    p = FiberPoint(FULL)
-    doubled = p.scaled(2)
-    assert doubled.integer_coords() == (2, 2, 2, 2, -8)
-    twisted = p.scaled(root_power(1))
-    assert twisted.integer_coords() is None
+    assert _scaled(FULL, 2).integer_coords() == (2, 2, 2, 2, -8)
+    assert _scaled(FULL, root_power(1)).integer_coords() is None
     assert FiberPoint([root_power(1), -root_power(1), 0, 0, 0]).support() == \
         (True, True, False, False, False)
     with pytest.raises(PreconditionError):
-        p.scaled(0)
+        _scaled(FULL, 0)
 
 
 # ---------------------------------------------------------
@@ -171,14 +174,14 @@ def test_center_dim_method_validation(canonical_table):
 
 def test_integer_rescaling_preserves_all_invariants(canonical_table):
     F1 = specialize(canonical_table, DEGENERATE)
-    F2 = specialize(canonical_table, FiberPoint(DEGENERATE).scaled(2))
+    F2 = specialize(canonical_table, _scaled(DEGENERATE, 2))
     assert center_dim(F1, method="graded") == center_dim(F2, method="graded")
     assert radical_dim(F1) == radical_dim(F2)
 
 
 def test_rescaling_scales_coefficients_by_carry_count(canonical_table):
     F1 = specialize(canonical_table, MIXED)
-    F2 = specialize(canonical_table, FiberPoint(MIXED).scaled(3))
+    F2 = specialize(canonical_table, _scaled(MIXED, 3))
     t = indices.tables()
     rng = np.random.default_rng(10)
     for _ in range(100):
@@ -192,7 +195,7 @@ def test_cyclotomic_rescaling_keeps_radical_pattern(canonical_table):
     # field path runs; spot-check with the generic trace entry that the trace
     # values vanish on the same rows
     F1 = specialize(canonical_table, DEGENERATE)
-    F2 = specialize(canonical_table, FiberPoint(DEGENERATE).scaled(root_power(2)))
+    F2 = specialize(canonical_table, _scaled(DEGENERATE, root_power(2)))
     assert F2._subset_ints is None
     flags = fiber._radical_flags(F1)
     neg = indices.tables().neg
@@ -202,7 +205,7 @@ def test_cyclotomic_rescaling_keeps_radical_pattern(canonical_table):
 
 
 def test_cyclotomic_rescaling_keeps_center(canonical_table):
-    F = specialize(canonical_table, FiberPoint(FULL).scaled(root_power(1)))
+    F = specialize(canonical_table, _scaled(FULL, root_power(1)))
     assert center_dim(F, method="both") == 25
 
 

@@ -122,14 +122,15 @@ def test_readme_library_imports_resolve():
 # qfermat.__all__ when it was a list written out in __init__.py, less the
 # PairingMatrix class that frobenius_pairing's exponent array replaced,
 # less MultiIndex, CarryVector, enumerate_index_set, index_add and weight,
-# which index positions and plain digit tuples replaced, and less
-# MonomialAlgebra, now a test oracle, and is_semisimple, which was
-# radical_dim(F) == 0
+# which index positions and plain digit tuples replaced, less
+# MonomialAlgebra, is_generic and the three group actions act_scale,
+# act_permute and act_twist, now test oracles, less is_semisimple, which
+# was radical_dim(F) == 0, and less enumerate_admissible, orbit and
+# canonical_representative, which no command called
 EXPORTED_BEFORE = [
     "__version__", "ToolkitError", "PreconditionError", "BudgetExceededError", "CycNum",
-    "root_power", "weight_histogram", "QMatrix", "ClassificationReport", "is_admissible", "is_generic",
-    "act_scale", "act_permute", "act_twist", "enumerate_generic", "enumerate_admissible",
-    "orbit", "canonical_representative", "canonical_generic_representative",
+    "root_power", "weight_histogram", "QMatrix", "ClassificationReport", "is_admissible",
+    "enumerate_generic", "canonical_generic_representative",
     "orbit_representatives", "classify", "StructureTable",
     "AssociativityReport", "CyCertificate", "build_table", "verify_associativity",
     "frobenius_pairing", "is_symmetric_pairing", "cy_certificate", "AlgElement",
@@ -167,7 +168,7 @@ def test_package_modules_declare_disjoint_literal_names():
         assert not [n for n in names if n.startswith("_")], module
         for name in names:
             assert owner.setdefault(name, module) == module, (name, owner[name], module)
-    assert len(EXPORTED_BEFORE) == 46 and set(EXPORTED_BEFORE) - {"__version__"} <= set(owner)
+    assert len(EXPORTED_BEFORE) == 39 and set(EXPORTED_BEFORE) - {"__version__"} <= set(owner)
 
 
 def test_package_names_resolve_in_a_fresh_process():
@@ -201,6 +202,19 @@ def test_submodules_outside_the_eight_resolve_on_first_access():
     code = ("import json, qfermat\n"
             "print(json.dumps([qfermat.linalg.__name__, qfermat.cli.__name__]))")
     assert _fresh(code) == ["qfermat.linalg", "qfermat.cli"]
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/worker.py wraps each (module, name) of _TRACED with getattr
+    # when it runs with --trace, so deleting one of these functions would
+    # make every traced worker raise AttributeError
+    tree = _parse(ROOT / "perfbench" / "worker.py")
+    traced = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "_TRACED" for t in node.targets)]
+    assert len(traced) == 1 and traced[0]
+    missing = [(module, name) for module, name in traced[0]
+               if not hasattr(importlib.import_module("qfermat." + module), name)]
+    assert not missing, "perfbench/worker.py traces names qfermat lacks: %s" % missing
 
 
 def test_importing_the_cli_loads_every_package_module():

@@ -7,24 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+from oracles import act_permute, act_scale, act_twist, is_generic, sample_admissible
 from qfermat import qmatrix
-from qfermat.errors import PreconditionError
 from qfermat.qmatrix import (
     ALL_ACTIONS,
     QMatrix,
-    act_permute,
-    act_scale,
-    act_twist,
-    canonical_representative,
     classify,
     count_admissible,
-    enumerate_admissible,
     enumerate_generic,
     is_admissible,
-    is_generic,
-    orbit,
     orbit_representatives,
-    sample_admissible,
 )
 from qfermat.structure import build_table
 
@@ -89,7 +82,7 @@ def test_matrix_entries_reduced_mod_5():
 
 
 # ---------------------------------------------------------
-# the three symmetry actions
+# the three symmetry actions (test oracles)
 # ---------------------------------------------------------
 
 
@@ -98,9 +91,9 @@ def test_scale_action_multiplies_entries():
     for i in range(5):
         for j in range(5):
             assert m.entries[i][j] == (2 * CANONICAL.entries[i][j]) % 5
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError):
         act_scale(CANONICAL, 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError):
         act_scale(CANONICAL, 5)
 
 
@@ -115,7 +108,7 @@ def test_permute_action_relabels_entries():
     for i in range(5):
         for j in range(5):
             assert m.entries[i][j] == CANONICAL.entries[sigma[i]][sigma[j]]
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError):
         act_permute(CANONICAL, (0, 0, 1, 2, 3))
 
 
@@ -189,37 +182,32 @@ def test_genericity_defect_is_twist_invariant():
 
 
 def test_enumeration_counts():
-    gens = enumerate_generic()
-    assert len(gens) == 3000
-    assert count_admissible() == 15625
-    assert len(enumerate_admissible()) == 15625
+    assert len(enumerate_generic()) == 3000
+    assert count_admissible() == len(oracles.admissible_matrices()) == 15625
+    assert len(oracles.generic_matrices()) == 3000
 
 
 def test_enumerated_matrices_satisfy_predicates():
-    gens = enumerate_generic()
-    for m in gens[::97]:
-        assert is_admissible(m)
-        assert is_generic(m)
-    adm = enumerate_admissible()
-    for m in adm[::501]:
-        assert is_admissible(m)
-    # generic list is a subset of the admissible list
-    adm_set = set(adm)
-    assert all(m in adm_set for m in gens[::53])
+    # the oracle builds every matrix from its free entries in plain Python
+    # and keeps those with no additive coincidence among the 60 triples, so
+    # it shares no code with the int8 array that enumerate_generic reads
+    assert all(is_admissible(m) for m in oracles.admissible_matrices())
+    assert enumerate_generic() == list(oracles.generic_matrices())
 
 
 def test_enumeration_sorted_and_first_element():
-    for mats in (enumerate_generic(), enumerate_admissible()):
-        rows = [m.entries for m in mats]
-        assert rows == sorted(rows)
+    # code order is row-major order, so the least code is the least matrix
+    rows = [m.entries for m in oracles.admissible_matrices()]
+    assert rows == sorted(rows)
     assert enumerate_generic()[0] == CANONICAL
 
 
 def test_enumeration_agrees_with_predicates():
-    # the construction never consults the predicates, so compare them on a
-    # seeded sample of the 5^10 upper-entry vectors; every second vector has
-    # its column-4 entries solved for zero row sums, so both answers occur
-    admissible = set(enumerate_admissible())
+    # neither the free-entry construction nor the int8 genericity test
+    # consults the predicates, so compare them on a seeded sample of the
+    # 5^10 upper-entry vectors; every second vector has its column-4 entries
+    # solved for zero row sums, so both answers occur
+    admissible = set(oracles.admissible_matrices())
     generic = set(enumerate_generic())
     rng = np.random.default_rng(4321)
     seen = {(True, True): 0, (True, False): 0, (False, False): 0}
@@ -252,29 +240,70 @@ def test_sample_admissible_seeded_and_valid():
 # orbits and classification
 # ---------------------------------------------------------
 
+# every group element once, as a scaling after a permutation after a
+# zero-sum twist with v_0 = 0 (v and v + (c, ..., c) twist alike)
+TWISTS = np.array([(0,) + v for v in itertools.product(range(5), repeat=4) if sum(v) % 5 == 0])
+PERMS = np.array(list(itertools.permutations(range(5))))
+
+
+def _group_images(m, actions):
+    """(k, v, s, 5, 5) images of m, one per element of the group the actions
+    generate: entry (i, j) of image [k, v, s] is
+    scalings[k] (n_ij + v_i - v_j)[s_i, s_j] mod 5."""
+    scalings = [1, 2, 3, 4] if "scale" in actions else [1]
+    twists = TWISTS if "twist" in actions else TWISTS[:1]
+    perms = PERMS if "permute" in actions else PERMS[:1]
+    twisted = np.array(m.entries) + twists[:, :, None] - twists[:, None, :]
+    return np.multiply.outer(scalings, twisted[:, perms[:, :, None], perms[:, None, :]]) % 5
+
+
+def _codes(entries):
+    """Positions in oracles.admissible_matrices() of admissible (..., 5, 5)
+    entries: the free entries read as a base-5 number."""
+    rows, cols = np.array(oracles.FREE_PAIRS).T
+    return set((entries[..., rows, cols] @ 5 ** np.arange(5, -1, -1)).ravel().tolist())
+
+
+def _partition(matrices, actions):
+    """Least member of each orbit among the matrices, ascending: take the
+    least remaining matrix, remove its group images, and repeat.  Asserts
+    that the matrices are a union of orbits."""
+    admissible = oracles.admissible_matrices()
+    remaining = _codes(np.array([m.entries for m in matrices]))
+    reps = []
+    while remaining:
+        rep = admissible[min(remaining)]
+        orbit = _codes(_group_images(rep, actions))
+        assert orbit <= remaining, "orbit of %r left the set" % (rep,)
+        remaining -= orbit
+        reps.append(rep)
+    return reps
+
+
+def _oracle_generic():
+    return _codes(np.array([m.entries for m in oracles.generic_matrices()]))
+
 
 def test_orbit_of_canonical_is_everything_generic():
-    orb = orbit(CANONICAL)
-    assert len(orb) == 3000
-    assert orb == set(enumerate_generic())
+    assert _codes(_group_images(CANONICAL, ALL_ACTIONS)) == _oracle_generic()
+    assert orbit_representatives() == [CANONICAL]
 
 
 def test_orbit_without_scaling_already_full():
-    orb = orbit(CANONICAL, actions={"permute", "twist"})
-    assert len(orb) == 3000
+    assert _codes(_group_images(CANONICAL, {"permute", "twist"})) == _oracle_generic()
+    assert orbit_representatives({"permute", "twist"}) == [CANONICAL]
 
 
 def test_orbit_stabilizer_certificate():
-    # every group element once, as a scaling after a permutation after a
-    # zero-sum twist with v_0 = 0 (v and v + (c, ..., c) twist alike): the
-    # images of CANONICAL are its orbit, and |orbit| * |stabilizer| = |group|;
-    # neither the orbit labels nor a closure search is used
-    twists = [(0,) + v for v in itertools.product(range(5), repeat=4) if sum(v) % 5 == 0]
+    # the images of CANONICAL under every group element, through the oracle
+    # actions, are its orbit, and |orbit| * |stabilizer| = |group|; neither
+    # the orbit labels nor a closure search is used
+    twists = [tuple(v) for v in TWISTS.tolist()]
     perms = list(itertools.permutations(range(5)))
     assert (len(twists), len(perms)) == (125, 120)
     permuted = [act_permute(act_twist(CANONICAL, v), s) for v in twists for s in perms]
     scaled = [act_scale(m, a) for m in permuted for a in range(1, 5)]
-    generic = set(enumerate_generic())
+    generic = set(oracles.generic_matrices())
     for images, order, stabilizer in ((permuted, 15_000, 5), (scaled, 60_000, 20)):
         assert len(images) == order
         assert images.count(CANONICAL) == stabilizer
@@ -285,36 +314,28 @@ def test_orbit_stabilizer_certificate():
 def test_class_equation_over_the_admissible_matrices():
     # the orbits partition all 15625 admissible matrices, so the orbit sizes
     # |G| / |Stab(r)| over one representative r per orbit sum to 15625; each
-    # stabilizer is counted over every group element, listed as above
-    twists = np.array([(0,) + v for v in itertools.product(range(5), repeat=4)
-                       if sum(v) % 5 == 0])
-    perms = np.array(list(itertools.permutations(range(5))))
-    admissible = enumerate_admissible()
+    # stabilizer is counted over every group element
     rng = np.random.default_rng(17)
     for actions, scalings, count in ((ALL_ACTIONS, [1, 2, 3, 4], 4),
                                      (("permute", "twist"), [1], 6)):
-        reps = {canonical_representative(m, actions) for m in admissible}
+        reps = _partition(oracles.admissible_matrices(), actions)
         assert len(reps) == count
         total = 0
         for r in reps:
-            n = np.array(r.entries)
-            # entry (i, j) of image [k, v, s] is scalings[k] (n_ij + v_i - v_j)[s_i, s_j]
-            twisted = n + twists[:, :, None] - twists[:, None, :]
-            images = np.multiply.outer(scalings, twisted[:, perms[:, :, None],
-                                                         perms[:, None, :]]) % 5
+            images = _group_images(r, actions)
             order = images.size // 25
             assert order == 15_000 * len(scalings)
             for k, v, s in zip(*(rng.integers(0, m, 10) for m in images.shape[:3])):
-                image = act_scale(act_permute(act_twist(r, twists[v]), perms[s]), scalings[k])
+                image = act_scale(act_permute(act_twist(r, TWISTS[v]), PERMS[s]), scalings[k])
                 assert images[k, v, s].tolist() == [list(row) for row in image.entries]
-            stabilizer = int((images == n).all(axis=(-2, -1)).sum())
+            stabilizer = int((images == np.array(r.entries)).all(axis=(-2, -1)).sum())
             assert order % stabilizer == 0
             total += order // stabilizer
         assert total == 15625, actions
 
 
 def _bfs_orbit(start, actions):
-    """Closure of {start} under the generators, through the public actions."""
+    """Closure of {start} under the seven generators, through the oracle actions."""
     moves = []
     if "scale" in actions:
         moves.append(lambda m: act_scale(m, 2))
@@ -335,48 +356,33 @@ def _bfs_orbit(start, actions):
 
 
 def test_orbit_matches_bfs_over_public_actions():
-    # the generic orbit, a non-generic one of size 5000, and two twists of
-    # zero, whose orbit has 125 members; the BFS pays about 0.1 ms per member
-    # and move, so the non-generic orbit of size 7500 is left out
+    # the generators reach every group image: on a generic matrix and on two
+    # twists of zero, whose orbit has 125 members, under every action subset
     zero = QMatrix([[0] * 5] * 5)
-    mats = sample_admissible(2, seed=4) + [act_twist(zero, (1, 2, 0, 4, 3)),
+    mats = sample_admissible(1, seed=4) + [act_twist(zero, (1, 2, 0, 4, 3)),
                                            act_twist(zero, (0, 1, 1, 4, 4))]
-    assert [is_generic(m) for m in mats] == [True, False, False, False]
-    assert [len(orbit(m)) for m in mats] == [3000, 5000, 125, 125]
-    for m in mats:
+    assert [is_generic(m) for m in mats] == [True, False, False]
+    for m, size in zip(mats, (3000, 125, 125)):
+        assert len(_codes(_group_images(m, ALL_ACTIONS))) == size
         for actions in ACTION_SUBSETS:
-            orb = orbit(m, actions)
-            assert orb == _bfs_orbit(m, actions), (m, actions)
-            assert canonical_representative(m, actions) == min(orb, key=lambda x: x.entries)
+            orbit = np.array([x.entries for x in _bfs_orbit(m, actions)])
+            assert _codes(orbit) == _codes(_group_images(m, actions)), (m, actions)
 
 
 def test_orbit_representatives_per_action_subset():
+    # the labels' least orbit members against the oracle's own partition of
+    # the generic matrices, built from explicit group images
     counts = {}
     for actions in ACTION_SUBSETS:
         reps = orbit_representatives(actions)
-        assert reps == sorted(reps, key=lambda m: m.entries)
-        assert all(canonical_representative(r, actions) == r for r in reps)
-        assert sum(len(orbit(r, actions)) for r in reps) == 3000
+        assert reps == _partition(oracles.generic_matrices(), actions), actions
         counts[",".join(sorted(actions))] = len(reps)
     assert counts == {
         "scale": 750, "permute": 29, "twist": 24, "permute,scale": 16,
         "scale,twist": 6, "permute,twist": 1, "permute,scale,twist": 1,
     }
-
-
-def test_orbit_requires_admissible_start():
-    bad = QMatrix([[0, 1, 0, 0, 0]] + [[0] * 5] * 4)
-    with pytest.raises(PreconditionError):
-        orbit(bad)
-
-
-def test_canonical_representative_idempotent_and_orbit_constant():
-    rep = canonical_representative(CANONICAL)
-    assert rep == CANONICAL
-    rng = np.random.default_rng(6)
-    orb = sorted(orbit(CANONICAL), key=lambda m: m.entries)
-    for k in rng.integers(0, 3000, size=8):
-        assert canonical_representative(orb[int(k)]) == rep
+    report = classify()
+    assert (report.orbit_count_all_actions, report.orbit_count_without_scaling) == (1, 1)
 
 
 def test_classification_report_frozen_values():

@@ -5,12 +5,21 @@ from math import comb, factorial, prod
 import numpy as np
 import pytest
 
+from oracles import sample_admissible
 from qfermat import indices
-from qfermat.cohomology import RatPolynomial, TwistMultiset
+from qfermat.cohomology import (
+    RatPolynomial,
+    TwistMultiset,
+    algebra_twist_multiset,
+    cohomology_dim,
+    euler_characteristic,
+    section_dimension_sum,
+    sheaf_cohomology,
+)
 from qfermat.cyclotomic import CycNum, ONE, root_power
 from qfermat.errors import PreconditionError
 from qfermat.fiber import FiberPoint
-from qfermat.qmatrix import QMatrix, act_permute, act_scale, act_twist, sample_admissible
+from qfermat.qmatrix import QMatrix
 from qfermat.rewrite import (
     AlgElement,
     graded_dimension,
@@ -153,10 +162,6 @@ def test_normal_form_rejects_bad_letters():
     lambda: indices.position(2.0),
     lambda: indices.position("10004"),
     lambda: indices.position((1.5, 3.5, 0, 0, 0)),
-    lambda: act_scale(CANONICAL, 2.5),
-    lambda: act_scale(CANONICAL, "2"),
-    lambda: act_twist(CANONICAL, (1.7, 0, 0, 0, -1.7)),
-    lambda: act_permute(CANONICAL, (1.0, 0, 2, 3, 4)),
     lambda: root_power(1.5),
     lambda: root_power(True),
     lambda: root_power(np.True_),
@@ -170,16 +175,19 @@ def test_normal_form_rejects_bad_letters():
     lambda: build_table(CANONICAL).replace_exponent(0, 1, 2.7),
     lambda: build_table(CANONICAL).replace_exponent(0, 1, True),
     lambda: build_table(CANONICAL).replace_exponent(0, 1, "3"),
-    lambda: sample_admissible(1.5, seed=1),
-    lambda: sample_admissible(2, seed=True),
+    lambda: cohomology_dim(True, 0),
+    lambda: cohomology_dim(1, 0.0),
+    lambda: sheaf_cohomology(algebra_twist_multiset(), True),
+    lambda: euler_characteristic(algebra_twist_multiset(), 1.5),
+    lambda: section_dimension_sum(algebra_twist_multiset(), "2"),
 ], ids=["float-letter", "str-word", "bool-letter", "numpy-float-letter", "float-exponent",
         "float-degree", "bool-degree", "bool-position", "numpy-bool-position",
-        "float-position", "str-index", "float-digits", "float-scale", "str-scale",
-        "float-twist", "float-permutation", "float-root", "bool-root", "numpy-bool-root",
-        "float-rotation", "float-galois", "float-twist-pair", "bool-twist-pair",
-        "float-seed", "bool-seed", "str-seed", "float-table-exponent",
-        "bool-table-exponent", "str-table-exponent", "float-sample-count",
-        "bool-sample-seed"])
+        "float-position", "str-index", "float-digits", "float-root", "bool-root",
+        "numpy-bool-root", "float-rotation", "float-galois", "float-twist-pair",
+        "bool-twist-pair", "float-seed", "bool-seed", "str-seed", "float-table-exponent",
+        "bool-table-exponent", "str-table-exponent", "bool-cohomology-twist",
+        "float-cohomology-degree", "bool-sheaf-twist", "float-euler-twist",
+        "str-section-twist"])
 def test_integer_inputs_refuse_bools_floats_and_strings(call):
     # each of these was truncated or read digit by digit, or raised TypeError
     with pytest.raises(ValueError, match="integer"):
@@ -192,10 +200,6 @@ def test_integer_inputs_accept_numpy_integers():
     assert graded_dimension(np.int64(7)) == graded_dimension(7)
     assert indices.position(np.uint16(124)) == 124
     assert indices.position(np.array([1, 0, 0, 0, 4])) == indices.position((1, 0, 0, 0, 4))
-    assert act_scale(CANONICAL, np.int64(2)) == act_scale(CANONICAL, 2)
-    assert act_twist(CANONICAL, np.arange(5)) == act_twist(CANONICAL, range(5))
-    swap = (1, 0, 2, 3, 4)
-    assert act_permute(CANONICAL, np.array(swap)) == act_permute(CANONICAL, swap)
     assert root_power(np.int8(3)) == ONE.times_root(np.uint8(3)) == root_power(3)
     assert root_power(1).galois(np.int64(3)) == root_power(3)
     twists = TwistMultiset([(np.int64(-1), np.uint16(3))])
@@ -206,7 +210,9 @@ def test_integer_inputs_accept_numpy_integers():
     assert type(sampled.seed) is int
     changed = table.replace_exponent(0, 1, np.int64(7))
     assert np.array_equal(changed.exp, table.replace_exponent(0, 1, 2).exp)
-    assert sample_admissible(np.int64(3), seed=np.uint16(5)) == sample_admissible(3, seed=5)
+    assert cohomology_dim(np.int64(-7), np.uint8(3)) == cohomology_dim(-7, 3) == 20
+    twists = algebra_twist_multiset()
+    assert sheaf_cohomology(twists, np.int16(1)) == sheaf_cohomology(twists, 1)
 
 
 @pytest.mark.parametrize("call", [
@@ -222,13 +228,12 @@ def test_integer_inputs_accept_numpy_integers():
     lambda: RatPolynomial([1, 1])(0.5),
     lambda: FiberPoint((True, -1, 0, 0, 0)),
     lambda: FiberPoint((1.5, -1.5, 0, 0, 0)),
-    lambda: FiberPoint((1, -1, 0, 0, 0)).scaled(True),
     lambda: AlgElement({(0, 1, 0, 0, 0): True}),
     lambda: AlgElement({(0, 1, 0, 0, 0): 0.5}),
 ], ids=["bool-coordinate", "numpy-bool-coordinate", "float-coordinate",
         "numpy-float-coordinate", "zero-denominator", "unparsed-string",
         "bool-coefficient", "float-coefficient", "bool-argument", "float-argument",
-        "bool-point", "float-point", "bool-scale", "bool-term", "float-term"])
+        "bool-point", "float-point", "bool-term", "float-term"])
 def test_rational_inputs_refuse_bools_floats_and_bad_strings(call):
     # bools were read as 0 or 1, floats raised TypeError and "1/0" ZeroDivisionError
     with pytest.raises(ValueError, match="rational"):
@@ -243,7 +248,6 @@ def test_rational_inputs_accept_numpy_integers_and_exact_strings():
     assert poly == RatPolynomial([1, 2]) and poly(np.uint8(3)) == poly(3) == 7
     point = FiberPoint(np.arange(-2, 3))
     assert point == FiberPoint(range(-2, 3))
-    assert point.scaled(np.int64(2)) == point.scaled(2)
     t1 = (0, 1, 0, 0, 0)
     assert AlgElement({t1: np.int32(2)}) == AlgElement({t1: 2})
     assert CycNum(("1.5", 0, 0, 0)).coeffs[0] == Fraction(3, 2)

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles import act_twist, sample_admissible
 from qfermat import indices, structure
 from qfermat.errors import BudgetExceededError, PreconditionError
 from qfermat.fiber import specialize
-from qfermat.qmatrix import QMatrix, act_twist, is_admissible, sample_admissible
+from qfermat.qmatrix import QMatrix, is_admissible
 from qfermat.structure import (
     build_table,
     cy_certificate,
@@ -152,9 +153,10 @@ def test_full_triple_budget_enforced(canonical_table):
 def test_verify_rejects_negative_seed_and_bad_budget(canonical_table):
     with pytest.raises(PreconditionError):
         verify_associativity(canonical_table, "sampled=10", seed=-1)
-    for budget in (float("nan"), -1.0):
-        with pytest.raises(PreconditionError):
+    for budget in (float("nan"), -1.0, True, "5", np.True_):
+        with pytest.raises(PreconditionError, match="budget_seconds"):
             verify_associativity(canonical_table, "full", budget_seconds=budget)
+    assert verify_associativity(canonical_table, "exact", budget_seconds=np.float64(1)).ok
 
 
 def test_sampled_requires_seed(canonical_table):
@@ -490,7 +492,9 @@ def test_pairing_on_zero_matrix_is_all_ones(zero_table):
 
 def test_symmetry_closed_form_over_random_skew():
     """Elementwise antidiagonal symmetry of the pairing exponents holds iff
-    all row sums of the skew matrix agree mod 5, admissible or not."""
+    all row sums of the skew matrix agree mod 5, admissible or not; so do
+    is_symmetric_pairing and the certificate, on tables built past
+    build_table's admissibility gate."""
     rng = np.random.default_rng(2718)
     t = indices.tables()
     rows = np.arange(625)
@@ -509,6 +513,10 @@ def test_symmetry_closed_form_over_random_skew():
         sym = bool((E[rows, comp] == E[comp, rows]).all())
         sums = {sum(r) % 5 for r in QMatrix(n).entries}
         assert sym == (len(sums) == 1)
+        table = structure.StructureTable(QMatrix(n), E)
+        assert is_symmetric_pairing(table) == sym
+        if seen_asym == 0 and not sym:
+            assert cy_certificate(table).verdict == "Frobenius, not symmetric"
         seen_sym += sym
         seen_asym += not sym
     assert seen_sym > 0 and seen_asym > 0
