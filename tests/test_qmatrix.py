@@ -385,6 +385,21 @@ def test_orbit_representatives_per_action_subset():
     assert (report.orbit_count_all_actions, report.orbit_count_without_scaling) == (1, 1)
 
 
+def test_canonical_representative_idempotent_and_orbit_constant():
+    # the least group image is the orbit's representative: it maps CANONICAL
+    # to itself and is the same for members of its orbit drawn at random
+    def least_image(m):
+        return oracles.admissible_matrices()[min(_codes(_group_images(m, ALL_ACTIONS)))]
+
+    assert orbit_representatives() == [CANONICAL] == [qmatrix.canonical_generic_representative()]
+    assert least_image(CANONICAL) == CANONICAL
+    rng = np.random.default_rng(6)
+    orb = sorted(oracles.generic_matrices(), key=lambda m: m.entries)
+    assert len(orb) == 3000
+    for k in rng.integers(0, 3000, size=8):
+        assert least_image(orb[int(k)]) == CANONICAL
+
+
 def test_classification_report_frozen_values():
     rep = classify()
     assert rep.generic_count == 3000
