@@ -30,6 +30,9 @@ twists by e_0 - e_b for b = 1..4 (these span the zero-sum vectors).
 The headline computation: there are exactly 15625 admissible matrices, 3000
 of them generic, and the generic ones form a single orbit, already under
 permutations and twists alone.
+
+admissible_matrix is the package's one admissibility gate: tables, table
+files and every rewriting entry point pass their matrix through it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "QMatrix",
     "ClassificationReport",
     "is_admissible",
+    "admissible_matrix",
     "enumerate_generic",
     "count_admissible",
     "canonical_generic_representative",
@@ -75,9 +79,6 @@ class QMatrix:
             raise ValueError("a quantum parameter matrix is 5x5")
         self.entries = es
 
-    def row_sums(self) -> Tuple[int, ...]:
-        return tuple(sum(row) % 5 for row in self.entries)
-
     def to_json(self):
         return [list(row) for row in self.entries]
 
@@ -99,15 +100,24 @@ def _coerce(N) -> QMatrix:
 
 def is_admissible(N) -> bool:
     """Zero diagonal, skew-symmetric mod 5, and every row sum 0 mod 5."""
+    return _admissible_entries(_coerce(N).entries)
+
+
+# rewriting asks the gate thousands of times per job about a few matrices
+@lru_cache(maxsize=16)
+def _admissible_entries(e: Tuple[Tuple[int, ...], ...]) -> bool:
+    return (all(e[i][i] == 0 and sum(e[i]) % 5 == 0 for i in range(5))
+            and all((e[i][j] + e[j][i]) % 5 == 0 for i in range(5) for j in range(i)))
+
+
+def admissible_matrix(N) -> QMatrix:
+    """N as a QMatrix, coerced as is_admissible reads it; a matrix that is
+    not admissible raises PreconditionError."""
     N = _coerce(N)
-    e = N.entries
-    for i in range(5):
-        if e[i][i] != 0:
-            return False
-        for j in range(i + 1, 5):
-            if (e[i][j] + e[j][i]) % 5 != 0:
-                return False
-    return all(s == 0 for s in N.row_sums())
+    if not _admissible_entries(N.entries):
+        raise PreconditionError("the matrix is not admissible: it needs a zero diagonal, "
+                                "skew symmetry and zero row sums mod 5")
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +179,9 @@ def _generic_codes() -> np.ndarray:
 
 
 def enumerate_generic() -> List[QMatrix]:
-    """All admissible and generic matrices, sorted by row-major entries.
-
-    No command calls it.  It stays because the traced benchmark wraps it by
-    name (_TRACED in perfbench/worker.py), and it can go when that list
-    drops it.
-    """
+    """All admissible and generic matrices, sorted by row-major entries; no
+    command calls it, but the traced benchmark wraps it by name (_TRACED in
+    perfbench/worker.py), and it can go when that list drops it."""
     return _matrices(_generic_codes())
 
 
@@ -188,10 +195,12 @@ def count_admissible() -> int:
 
 
 def _check_actions(actions) -> FrozenSet[str]:
+    if isinstance(actions, str):  # a collection of its characters, not of names
+        raise PreconditionError("actions must be a collection of names, got %r" % actions)
     acts = frozenset(actions)
     bad = acts - set(ALL_ACTIONS)
     if bad:
-        raise PreconditionError("unknown actions: %s" % ", ".join(sorted(bad)))
+        raise PreconditionError("unknown actions: %s" % ", ".join(sorted(map(str, bad))))
     return acts
 
 

@@ -24,6 +24,9 @@ and a sign, and the random-schedule reducer holds each term as a coefficient
 and a pending power of zeta.  That reducer takes one rng.integers(n) draw
 per pick; numpy draws nothing for a pick with one choice, so skipping it
 leaves the seeded stream unchanged.
+
+Every entry point that takes a matrix passes it through the package's one
+admissibility gate, qmatrix.admissible_matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, ONE, ZERO, root_power
 from .errors import PreconditionError, as_integer
-from .qmatrix import QMatrix, is_admissible
+from .qmatrix import QMatrix, admissible_matrix
 
 __all__ = [
     "AlgElement",
@@ -84,8 +87,8 @@ class AlgElement:
 
     @classmethod
     def generator(cls, i: int) -> "AlgElement":
-        if not 0 <= i <= 4:
-            raise ValueError("generator index must lie in 0..4")
+        """t_i, for an index i read by the rule of word letters."""
+        (i,) = _check_word((i,))
         e = [0] * 5
         e[i] = 1
         return cls({tuple(e): ONE})
@@ -119,17 +122,6 @@ class AlgElement:
 
     def __repr__(self):
         return "AlgElement(%r)" % (self.terms,)
-
-
-def _check_matrix(N: QMatrix) -> QMatrix:
-    if not isinstance(N, QMatrix):
-        N = QMatrix(N)
-    if not _admissible(N.entries):
-        raise PreconditionError("rewriting requires an admissible matrix")
-    return N
-
-
-_admissible = lru_cache(maxsize=16)(is_admissible)  # keyed by QMatrix.entries
 
 
 def _check_word(w: Sequence[int]) -> Tuple[int, ...]:
@@ -196,7 +188,7 @@ def normal_form(w: Sequence[int], N: QMatrix) -> AlgElement:
     zeta^{n_ij} for every inversion of the word, phase two eliminates fifth
     powers of t_0 through the quintic relation.
     """
-    entries = _check_matrix(N).entries
+    entries = admissible_matrix(N).entries
     s = 0
     counts = [0] * 5
     # each letter j meets every larger letter i seen before it: inversions
@@ -226,7 +218,7 @@ def _unit(c: CycNum) -> Optional[Tuple[int, int]]:
 
 def multiply(x: AlgElement, y: AlgElement, N: QMatrix) -> AlgElement:
     """Product in the algebra, bilinear over the standard monomials."""
-    entries = _check_matrix(N).entries
+    entries = admissible_matrix(N).entries
     ys = [(f, d, _unit(d)) for f, d in y.terms.items()]
     acc: Dict[Monomial, CycNum] = {}
     for e, c in x.terms.items():
@@ -252,7 +244,7 @@ def is_central(x: AlgElement, N: QMatrix) -> bool:
     """True iff x commutes with every generator, exactly.
 
     Requires x homogeneous (degree-mixed input raises)."""
-    N = _check_matrix(N)
+    N = admissible_matrix(N)
     if not x.is_homogeneous():
         raise PreconditionError("is_central requires a homogeneous element")
     for i in range(5):
@@ -305,7 +297,7 @@ def normal_form_random_schedule(w: Sequence[int], N: QMatrix, rng) -> AlgElement
     (base, k, moves) for the coefficient base * zeta^k, so a swap only adds
     to k; coefficients are rotated where two words meet and at the end.
     """
-    entries = _check_matrix(N).entries
+    entries = admissible_matrix(N).entries
     word = _check_word(w)
     state = {word: (ONE, 0, _word_moves(word))}
     while True:

