@@ -26,6 +26,7 @@ __all__ = [
     "root_power",
     "ZERO",
     "ONE",
+    "as_cyc",
 ]
 
 
@@ -184,3 +185,12 @@ _ROOTS = (
 def root_power(k) -> CycNum:
     """zeta_5^k in canonical form; root_power(0) is the identity."""
     return _ROOTS[as_integer(k, "root exponents") % 5]
+
+
+def as_cyc(value, what: str) -> CycNum:
+    """A field element: a CycNum as itself, a list or tuple as its four
+    coordinates, else one rational; each read by as_rational, naming `what`."""
+    if isinstance(value, CycNum):
+        return value
+    cs = value if isinstance(value, (list, tuple)) else (value, 0, 0, 0)
+    return CycNum([as_rational(c, what) for c in cs])

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import indices
-from .cyclotomic import CycNum, ONE, ZERO, root_power
+from .cyclotomic import CycNum, ONE, ZERO, as_cyc, root_power
 from .errors import PreconditionError, ToolkitError, as_rational
 from .linalg import ExactRREF
 from .structure import StructureTable, verify_associativity
@@ -53,22 +53,14 @@ __all__ = [
 _INT_COORD_LIMIT = 32
 
 
-def _as_cyc(value) -> CycNum:
-    if isinstance(value, CycNum):
-        return value
-    if isinstance(value, (list, tuple)):
-        return CycNum(value)
-    return CycNum((value, 0, 0, 0))
-
-
 class FiberPoint:
     """A point of the hyperplane sum(x_i) = 0, coordinates in Q(zeta_5), each
-    a CycNum, its four coordinates as a list or tuple, or one rational."""
+    read by cyclotomic.as_cyc: a CycNum, four coordinates, or one rational."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence):
-        cs = tuple(_as_cyc(c) for c in coords)
+        cs = tuple(as_cyc(c, "point coordinates") for c in coords)
         if len(cs) != 5:
             raise PreconditionError("a fiber point has 5 coordinates")
         total = cs[0]

@@ -195,9 +195,11 @@ def count_admissible() -> int:
 
 
 def _check_actions(actions) -> FrozenSet[str]:
-    if isinstance(actions, str):  # a collection of its characters, not of names
-        raise PreconditionError("actions must be a collection of names, got %r" % actions)
-    acts = frozenset(actions)
+    try:  # a str is a collection of its characters, not of names: refuse it too
+        acts = frozenset(None if isinstance(actions, str) else actions)
+    except TypeError:  # not iterable, or holding an unhashable name
+        raise PreconditionError(
+            "actions must be a collection of names, got %r" % (actions,)) from None
     bad = acts - set(ALL_ACTIONS)
     if bad:
         raise PreconditionError("unknown actions: %s" % ", ".join(sorted(map(str, bad))))

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple
 
-from .cyclotomic import CycNum, ONE, ZERO, root_power
+from .cyclotomic import CycNum, ONE, ZERO, as_cyc, root_power
 from .errors import PreconditionError, as_integer
 from .qmatrix import QMatrix, admissible_matrix
 
@@ -63,8 +63,8 @@ def _check_monomial(e) -> Monomial:
 class AlgElement:
     """Finite sum of standard monomials with field coefficients.
 
-    terms maps exponent 5-tuples (e_0 <= 4) to nonzero CycNum coefficients.
-    Immutable by convention.
+    terms maps exponent 5-tuples (e_0 <= 4) to nonzero CycNum coefficients,
+    each read by cyclotomic.as_cyc.  Immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -72,8 +72,7 @@ class AlgElement:
     def __init__(self, terms: Optional[Dict[Monomial, CycNum]] = None):
         cleaned: Dict[Monomial, CycNum] = {}
         for e, c in (terms or {}).items():
-            if not isinstance(c, CycNum):
-                c = CycNum((c, 0, 0, 0))
+            c = as_cyc(c, "AlgElement coefficients")
             if c:
                 cleaned[_check_monomial(e)] = c
         self.terms = cleaned

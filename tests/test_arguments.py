@@ -1,7 +1,8 @@
 """One argument rule for every public numeric parameter, checked from the
 signatures.
 
-An integer is read by errors.as_integer and a rational by errors.as_rational:
+An integer is read by errors.as_integer and a rational by errors.as_rational
+(a field element by cyclotomic.as_cyc, which reads each coordinate so):
 Python and numpy integers are accepted, a bool or a float is a ValueError
 that names the argument, and so is a str, except an exact one such as "3"
 or "1/2" for a rational.  PARAMETERS lists every public numeric parameter
@@ -30,7 +31,7 @@ from qfermat.cohomology import (
     section_dimension_sum,
     sheaf_cohomology,
 )
-from qfermat.cyclotomic import ONE, CycNum, root_power
+from qfermat.cyclotomic import ONE, CycNum, as_cyc, root_power
 from qfermat.errors import PreconditionError
 from qfermat.fiber import FiberPoint
 from qfermat.indices import position
@@ -83,7 +84,7 @@ PARAMETERS = [
      lambda v: admissible_matrix(_rows(v))),
     ("AlgElement.__init__", "terms", "integer sequence", "monomial exponents", 1,
      lambda v: AlgElement({(v, 0, 0, 0, 0): 1})),
-    ("AlgElement.__init__", "terms", "rational", "CycNum coordinates", 3,
+    ("AlgElement.__init__", "terms", "rational", "AlgElement coefficients", 3,
      lambda v: AlgElement({(0, 0, 0, 0, 0): v})),
     ("AlgElement.generator", "i", "integer", "word letters", 2, AlgElement.generator),
     ("normal_form", "w", "integer sequence", "word letters", 2,
@@ -93,8 +94,9 @@ PARAMETERS = [
     ("graded_dimension", "n", "integer", "degrees", 3, graded_dimension),
     ("CycNum.__init__", "coeffs", "rational", "CycNum coordinates", 3,
      lambda v: CycNum((v, 0, 0, 0))),
-    ("FiberPoint.__init__", "coords", "rational", "CycNum coordinates", 3,
+    ("FiberPoint.__init__", "coords", "rational", "point coordinates", 3,
      lambda v: FiberPoint((v, -3, 0, 0, 0))),
+    ("as_cyc", "value", "rational", "field elements", 3, lambda v: as_cyc(v, "field elements")),
     ("RatPolynomial.__init__", "coeffs", "rational", "polynomial coefficients", 3,
      lambda v: RatPolynomial([v])),
     ("RatPolynomial.__call__", "n", "rational", "polynomial arguments", 3,
@@ -205,4 +207,29 @@ def test_actions_refuse_a_bare_str():
     # a name that is not a str is reported, not a TypeError from the report
     with pytest.raises(PreconditionError, match="unknown actions: 3"):
         orbit_representatives(["scale", 3])
+    # nor is a value that is not a collection, or one holding an unhashable name,
+    # a TypeError from frozenset
+    for actions in (None, 5, [["scale"]]):
+        with pytest.raises(PreconditionError, match="actions must be a collection"):
+            orbit_representatives(actions)
     assert len(orbit_representatives(("permute", "twist"))) == 1
+
+
+def test_field_elements_take_one_rule():
+    # cyclotomic.as_cyc reads the coefficients of AlgElement and the
+    # coordinates of FiberPoint alike: a CycNum, its four coordinates, or
+    # one rational, each coordinate by errors.as_rational
+    def element(c):
+        return AlgElement({(0, 0, 0, 0, 0): c})
+
+    def point(c):
+        return FiberPoint((c, -1, 0, 0, 0))
+
+    spellings = [ONE, [1, 0, 0, 0], (1, 0, 0, 0), 1, "1"]
+    for build, noun in ((element, "AlgElement coefficients"), (point, "point coordinates")):
+        assert all(build(c) == build(ONE) for c in spellings)
+        for bad in (True, 1.5, "1/0", [True, 0, 0, 0], [1, 0, 0, "1/0"]):
+            with pytest.raises(ValueError, match=re.escape(noun)):
+                build(bad)
+    assert element([0, 1, 0, 0]).terms == {(0, 0, 0, 0, 0): root_power(1)}
+    assert as_cyc(ONE, "field elements") is ONE

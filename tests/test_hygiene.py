@@ -114,6 +114,33 @@ def test_admissibility_is_decided_in_qmatrix_alone():
             assert "is_admissible" not in path.read_text(encoding="utf-8"), path.name
 
 
+def _cycnum_reads(tree):
+    """(line, text) of each CycNum(...) call and each isinstance(..., CycNum)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "CycNum":
+                found.append((node.lineno, "CycNum(...)"))
+            elif node.func.id == "isinstance" and len(node.args) == 2 and any(
+                    isinstance(n, ast.Name) and n.id == "CycNum"
+                    for n in ast.walk(node.args[1])):
+                found.append((node.lineno, "isinstance(..., CycNum)"))
+    return sorted(found)
+
+
+def test_field_elements_are_read_in_cyclotomic_alone():
+    # one rule: every other module reads a field-element argument through
+    # cyclotomic.as_cyc and builds none from raw coordinates
+    for path in MODULES:
+        if path.name != "cyclotomic.py":
+            found = _cycnum_reads(_parse(path))
+            assert not found, "%s reads field elements itself: %s" % (
+                path.name, ", ".join("%s (line %d)" % (text, line) for line, text in found))
+    # and the walk sees the constructor calls and the type test that are there
+    found = {text for _, text in _cycnum_reads(_parse(ROOT / "src" / "qfermat" / "cyclotomic.py"))}
+    assert found == {"CycNum(...)", "isinstance(..., CycNum)"}
+
+
 def test_no_test_that_monkeypatches_reads_the_fiber_memo():
     # conftest.fiber_facts keeps what the real fiber module computed for the
     # whole session, so a test that patches fiber must compute its own

@@ -41,6 +41,18 @@ def test_incremental_rref_contains():
     assert r.contains({})
 
 
+def test_pivot_is_the_least_column_scaled_to_one():
+    # the documented pivot choice, and pivot rows kept free of each other's
+    # pivot columns by back-substitution
+    r = ExactRREF()
+    assert r.add_row({1: q(2), 3: q(4)}) == 1
+    assert r.add_row({1: q(1), 2: q(3), 3: q(5)}) == 2
+    assert r.pivots == {1: {1: ONE, 3: q(2)}, 2: {2: ONE, 3: ONE}}
+    assert r.add_row({1: q(1), 3: q(2)}) is None
+    assert r.add_row({3: q(7)}) == 3
+    assert r.pivots == {1: {1: ONE}, 2: {2: ONE}, 3: {3: ONE}}
+
+
 # ---------------------------------------------------------
 # kernels
 # ---------------------------------------------------------
