@@ -1,8 +1,8 @@
 """One argument rule for every public numeric parameter, checked from the
 signatures.
 
-An integer is read by errors.as_integer and a rational by errors.as_rational
-(a field element by cyclotomic.as_cyc, which reads each coordinate so):
+An integer is read by errors.as_integer and a rational by errors.as_rational,
+which cyclotomic.as_cyc applies to each coordinate of a field element:
 Python and numpy integers are accepted, a bool or a float is a ValueError
 that names the argument, and so is a str, except an exact one such as "3"
 or "1/2" for a rational.  PARAMETERS lists every public numeric parameter
@@ -207,8 +207,8 @@ def test_actions_refuse_a_bare_str():
     # a name that is not a str is reported, not a TypeError from the report
     with pytest.raises(PreconditionError, match="unknown actions: 3"):
         orbit_representatives(["scale", 3])
-    # nor is a value that is not a collection, or one holding an unhashable name,
-    # a TypeError from frozenset
+    # and a value that is not a collection, or one holding an unhashable name,
+    # is refused as well, not a TypeError from frozenset
     for actions in (None, 5, [["scale"]]):
         with pytest.raises(PreconditionError, match="actions must be a collection"):
             orbit_representatives(actions)
